@@ -14,9 +14,7 @@ use crate::network::MapZeroNet;
 use crate::problem::Problem;
 use crate::supervise::Budget;
 use mapzero_arch::PeId;
-use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Agent configuration.
@@ -100,78 +98,34 @@ pub struct EpisodeResult {
     pub routed_edges: u64,
 }
 
-/// Where an agent keeps its prediction cache between episodes.
-///
-/// The local variant carries the cache across one agent's episodes (and
-/// the compiler's II attempts, which share early search states). The
-/// shared variant is the serve worker pool's: every worker's agent
-/// drains and refills one process-wide cache, so requests for the same
-/// fabric warm each other up. Either way a panic mid-episode merely
-/// loses the borrowed cache contents, never corrupts the slot — the
-/// cache is moved out by value before the episode runs.
-enum CacheSlot {
-    Local(RefCell<PredictCache>),
-    Shared(Arc<Mutex<PredictCache>>),
-}
-
-impl CacheSlot {
-    /// Move the cache out, leaving a placeholder; guarantees at least
-    /// `capacity` on what is handed to the episode.
-    fn take(&self, capacity: usize) -> PredictCache {
-        let mut cache = match self {
-            CacheSlot::Local(cell) => cell.take(),
-            CacheSlot::Shared(slot) => std::mem::take(
-                &mut *slot.lock().unwrap_or_else(PoisonError::into_inner),
-            ),
-        };
-        cache.reserve_capacity(capacity);
-        cache
-    }
-
-    /// Return the cache after an episode. Two workers may have raced
-    /// for a shared slot (the loser ran on the placeholder); keep
-    /// whichever copy memoizes more states.
-    fn put_back(&self, cache: PredictCache) {
-        match self {
-            CacheSlot::Local(cell) => {
-                cell.replace(cache);
-            }
-            CacheSlot::Shared(slot) => {
-                let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                if cache.len() >= held.len() {
-                    *held = cache;
-                }
-            }
-        }
-    }
-}
-
 /// The MapZero placement agent.
 pub struct MapZeroAgent<'n> {
     net: &'n MapZeroNet,
     config: AgentConfig,
-    cache: CacheSlot,
+    /// Read and written in place by every episode's search, so one
+    /// agent's II attempts (which share early search states) warm each
+    /// other up.
+    cache: PredictCache,
 }
 
 impl<'n> MapZeroAgent<'n> {
     /// Create an agent around a (possibly pre-trained) network.
     #[must_use]
     pub fn new(net: &'n MapZeroNet, config: AgentConfig) -> Self {
-        let cache = CacheSlot::Local(RefCell::new(PredictCache::new(config.mcts.cache_capacity)));
-        MapZeroAgent { net, config, cache }
+        MapZeroAgent::with_cache(net, config, PredictCache::new(config.mcts.cache_capacity))
     }
 
-    /// Create an agent whose episodes drain and refill a cache shared
-    /// with other agents (the serve worker pool). Cache hits are
-    /// bit-identical to recomputation, so sharing is a pure speed knob:
-    /// results do not depend on which worker warmed the cache.
+    /// Create an agent whose searches read and write `cache` in place,
+    /// alongside every other holder of the handle (the serve worker
+    /// pool). Entries are keyed by network, problem and state, so
+    /// results do not depend on what the cache holds or who warmed it.
     #[must_use]
-    pub fn with_shared_cache(
+    pub(crate) fn with_cache(
         net: &'n MapZeroNet,
         config: AgentConfig,
-        cache: Arc<Mutex<PredictCache>>,
+        cache: PredictCache,
     ) -> Self {
-        MapZeroAgent { net, config, cache: CacheSlot::Shared(cache) }
+        MapZeroAgent { net, config, cache }
     }
 
     /// Run one mapping episode on `problem` with a wall-clock deadline.
@@ -186,22 +140,7 @@ impl<'n> MapZeroAgent<'n> {
     /// the current (possibly long) decision to finish.
     #[must_use]
     pub fn run_episode_budgeted(&self, problem: &Problem<'_>, budget: &Budget) -> EpisodeResult {
-        let cache = self.cache.take(self.config.mcts.cache_capacity);
-        let mut mcts = Mcts::with_cache(self.net, self.config.mcts, cache);
-        let result = self.episode_loop(&mut mcts, problem, budget);
-        self.cache.put_back(mcts.into_cache());
-        result
-    }
-
-    /// The placement loop of one episode (see
-    /// [`MapZeroAgent::run_episode_budgeted`], which wraps it with the
-    /// prediction-cache handover).
-    fn episode_loop(
-        &self,
-        mcts: &mut Mcts<'_>,
-        problem: &Problem<'_>,
-        budget: &Budget,
-    ) -> EpisodeResult {
+        let mut mcts = Mcts::with_cache(self.net, self.config.mcts, self.cache.clone());
         let mut env = MapEnv::new(problem);
         let mut probs_scratch: Vec<f32> = Vec::new();
         let mut banned: Vec<HashSet<PeId>> = vec![HashSet::new(); problem.node_count() + 1];
@@ -224,7 +163,7 @@ impl<'n> MapZeroAgent<'n> {
             let depth = env.placed_count();
             // Pick an action not banned at this depth.
             let decision = self.decide(
-                mcts,
+                &mut mcts,
                 &env,
                 &banned[depth],
                 &mut cached[depth],

@@ -21,7 +21,7 @@ use crate::train::{TrainConfig, TrainError, Trainer, TrainingMetrics};
 use mapzero_arch::Cgra;
 use mapzero_dfg::Dfg;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Compiler configuration.
@@ -111,10 +111,11 @@ pub struct Compiler {
     config: MapZeroConfig,
     nets: HashMap<usize, Arc<MapZeroNet>>,
     fallback: Option<Box<dyn Mapper + Send>>,
-    /// When set, agents drain/refill this cache instead of a private
-    /// one, so concurrent compilers warm each other up (hits are
-    /// bit-identical to recomputation — a pure speed knob).
-    shared_cache: Option<Arc<Mutex<PredictCache>>>,
+    /// When set, agents read and write this cache in place instead of
+    /// a private one per map call, so concurrent compilers warm each
+    /// other up (hits are bit-identical to recomputation — a pure speed
+    /// knob).
+    shared_cache: Option<PredictCache>,
 }
 
 impl Compiler {
@@ -135,10 +136,9 @@ impl Compiler {
     }
 
     /// Share a prediction cache with other compilers (the serve worker
-    /// pool): every mapping episode drains it, runs, and puts the
-    /// warmer copy back.
+    /// pool): every mapping episode reads and writes it in place.
     #[must_use]
-    pub fn with_shared_cache(mut self, cache: Arc<Mutex<PredictCache>>) -> Self {
+    pub fn with_shared_cache(mut self, cache: PredictCache) -> Self {
         self.shared_cache = Some(cache);
         self
     }
@@ -415,11 +415,7 @@ impl Compiler {
                 return Err(MapError::Internal("network missing after ensure_net".to_owned()));
             };
             let agent = match &self.shared_cache {
-                Some(cache) => MapZeroAgent::with_shared_cache(
-                    net,
-                    self.config.agent,
-                    Arc::clone(cache),
-                ),
+                Some(cache) => MapZeroAgent::with_cache(net, self.config.agent, cache.clone()),
                 None => MapZeroAgent::new(net, self.config.agent),
             };
             'outer: for ii in ii_lo..=ii_hi {
@@ -747,18 +743,16 @@ mod tests {
         let mut solo = Compiler::new(MapZeroConfig::fast_test());
         let baseline = solo.map(&dfg, &cgra).unwrap();
 
-        let cache = Arc::new(Mutex::new(PredictCache::new(256)));
-        let mut a = Compiler::new(MapZeroConfig::fast_test())
-            .with_shared_cache(Arc::clone(&cache));
+        let cache = PredictCache::new(256);
+        let mut a = Compiler::new(MapZeroConfig::fast_test()).with_shared_cache(cache.clone());
         let first = a.map(&dfg, &cgra).unwrap();
         // Second compiler starts with a warm shared cache; hits are
         // bit-identical to recomputation so the mapping cannot change.
         let net = a.shared_net_for(cgra.pe_count()).unwrap();
-        let mut b = Compiler::new(MapZeroConfig::fast_test())
-            .with_shared_cache(Arc::clone(&cache));
+        let mut b = Compiler::new(MapZeroConfig::fast_test()).with_shared_cache(cache.clone());
         b.install_shared_net(net);
         let second = b.map(&dfg, &cgra).unwrap();
-        assert!(!cache.lock().unwrap().is_empty(), "shared cache must be warmed");
+        assert!(!cache.is_empty(), "shared cache must be warmed");
         assert_eq!(baseline.mapping, first.mapping);
         assert_eq!(first.mapping, second.mapping);
     }

@@ -18,6 +18,7 @@ use crate::network::{MapZeroNet, Prediction};
 use crate::supervise::Budget;
 use mapzero_arch::PeId;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// MCTS hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,66 +148,44 @@ pub struct SearchResult {
 
 /// Transposition-keyed memo of network predictions.
 ///
-/// The placement vector (plus problem identity) uniquely determines the
-/// observation — placement order is fixed by `Problem::order` — so a
-/// cached [`Prediction`] is exactly what [`MapZeroNet::predict`] would
-/// return for that state. Hits come from re-rooted successive searches
-/// within an episode, re-decisions after backtracking, and shared early
-/// states across a compiler's II attempts (the agent carries the cache
-/// between episodes).
+/// A cloneable handle: every clone reads and writes the same entries in
+/// place, so an agent's II attempts, successive episodes and — in the
+/// serve worker pool — concurrent requests all warm one cache.
 ///
-/// Entries are pinned to the network parameters they were computed
-/// under: [`PredictCache::ensure_net`] compares the stored parameter
-/// fingerprint against the live network and clears everything on a
-/// mismatch, so a weight update or a training rollback can never serve
-/// stale predictions.
+/// Entries are keyed by [`state_key`]: the network's parameter
+/// fingerprint, the problem's content fingerprint
+/// ([`crate::problem::Problem::fingerprint`]) and the placement vector.
+/// Those three determine the observation — placement order is fixed by
+/// the problem — so a cached [`Prediction`] is exactly what the network
+/// would return for that state, whichever search, problem or network
+/// computed it. A weight update or a training rollback changes the
+/// parameter fingerprint, which makes every older entry unreachable;
+/// stale entries are never cleared, they age out of the LRU below.
+///
+/// Lock discipline: a batched sweep takes the lock once for all of its
+/// probes and once for all of its inserts, and the lock is never held
+/// across a network forward (which hosts the `infer.predict` failpoint).
+/// A poisoned lock is recovered: entries are only ever whole
+/// predictions, so a panicking holder cannot leave one half-written.
 ///
 /// Bounded by a two-segment ("flip-flop") LRU approximation: inserts go
 /// to the current segment; when it fills, the previous segment is
 /// dropped and the segments swap. A hit in the previous segment
 /// promotes the entry. O(1) per operation, worst-case memory two
 /// half-capacity segments.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PredictCache {
+    inner: Arc<Mutex<FlipFlopLru>>,
+}
+
+#[derive(Debug)]
+struct FlipFlopLru {
     cur: HashMap<u64, Prediction>,
     prev: HashMap<u64, Prediction>,
     capacity: usize,
-    fingerprint: Option<u64>,
 }
 
-impl PredictCache {
-    /// Create an empty cache holding at most ~`capacity` entries.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        // Register both legs of the hit-rate pair up front so traces
-        // and metric dumps always show the pair, even when a short run
-        // never hits (a lazily-registered `hit` would be absent rather
-        // than zero).
-        mapzero_obs::counter!("search.predict_cache.hit", 0);
-        mapzero_obs::counter!("search.predict_cache.miss", 0);
-        PredictCache {
-            cur: HashMap::new(),
-            prev: HashMap::new(),
-            capacity: capacity.max(2),
-            fingerprint: None,
-        }
-    }
-
-    /// Re-key the cache to the network's current parameters, dropping
-    /// every entry if they changed since the last call. Must run before
-    /// any `get` against a possibly-updated network.
-    pub fn ensure_net(&mut self, net: &MapZeroNet) {
-        let fp = net.params_fingerprint();
-        if self.fingerprint != Some(fp) {
-            if self.fingerprint.is_some() {
-                mapzero_obs::counter!("search.predict_cache.rekey");
-            }
-            self.cur.clear();
-            self.prev.clear();
-            self.fingerprint = Some(fp);
-        }
-    }
-
+impl FlipFlopLru {
     /// Look up a state key, promoting previous-segment hits.
     fn get(&mut self, key: u64) -> Option<Prediction> {
         if let Some(p) = self.cur.get(&key) {
@@ -225,18 +204,60 @@ impl PredictCache {
         }
         self.cur.insert(key, pred);
     }
+}
 
-    /// Raise the capacity to at least `capacity` without dropping any
-    /// entries. Used when an episode takes over a shared cache that was
-    /// created (or reset by [`std::mem::take`]) at placeholder size.
-    pub fn reserve_capacity(&mut self, capacity: usize) {
-        self.capacity = self.capacity.max(capacity.max(2));
+impl PredictCache {
+    /// Create an empty cache holding at most ~`capacity` entries.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        // Register both legs of the hit-rate pair up front so traces
+        // and metric dumps always show the pair, even when a short run
+        // never hits (a lazily-registered `hit` would be absent rather
+        // than zero).
+        mapzero_obs::counter!("search.predict_cache.hit", 0);
+        mapzero_obs::counter!("search.predict_cache.miss", 0);
+        let lru = FlipFlopLru {
+            cur: HashMap::new(),
+            prev: HashMap::new(),
+            capacity: capacity.max(2),
+        };
+        PredictCache { inner: Arc::new(Mutex::new(lru)) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FlipFlopLru> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Probe every key under one lock; `None` keys are not looked up.
+    /// Hits and misses are counted as `search.predict_cache.{hit,miss}`.
+    fn get_many(&self, keys: impl IntoIterator<Item = Option<u64>>) -> Vec<Option<Prediction>> {
+        let mut lru = self.lock();
+        keys.into_iter()
+            .map(|key| {
+                let pred = lru.get(key?);
+                if pred.is_some() {
+                    mapzero_obs::counter!("search.predict_cache.hit");
+                } else {
+                    mapzero_obs::counter!("search.predict_cache.miss");
+                }
+                pred
+            })
+            .collect()
+    }
+
+    /// Insert every `(key, prediction)` pair under one lock.
+    fn insert_many<'a>(&self, entries: impl IntoIterator<Item = (u64, &'a Prediction)>) {
+        let mut lru = self.lock();
+        for (key, pred) in entries {
+            lru.insert(key, pred.clone());
+        }
     }
 
     /// Number of live entries across both segments.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cur.len() + self.prev.len()
+        let lru = self.lock();
+        lru.cur.len() + lru.prev.len()
     }
 
     /// Whether the cache holds no entries.
@@ -246,26 +267,13 @@ impl PredictCache {
     }
 }
 
-impl Default for PredictCache {
-    /// A minimal-capacity cache — the transient placeholder
-    /// `RefCell::take` leaves behind while an episode borrows the real
-    /// one.
-    fn default() -> Self {
-        PredictCache::new(0)
-    }
-}
-
-/// Hash the search state: problem identity plus the placement ledger
-/// (which uniquely determines the observation — see [`PredictCache`]).
-fn state_key(env: &MapEnv<'_>) -> u64 {
-    let problem = env.problem();
+/// Hash the search state: the network's parameter fingerprint, the
+/// problem's content fingerprint and the placements (which together
+/// determine the observation — see [`PredictCache`]).
+fn state_key(net_fingerprint: u64, env: &MapEnv<'_>) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(u64::from(problem.ii()));
-    // Pruned and unpruned runs observe different masks for the same
-    // placement set, so they must never share cache entries.
-    h.write_usize(usize::from(env.pruning_enabled()));
-    h.write_usize(problem.dfg().node_count());
-    h.write_usize(problem.cgra().pe_count());
+    h.write_u64(net_fingerprint);
+    h.write_u64(env.problem().fingerprint());
     for p in env.placements() {
         match p {
             Some(pl) => {
@@ -287,6 +295,10 @@ pub struct Mcts<'n> {
     rng: mapzero_nn::SeedRng,
     observer: Observer,
     cache: PredictCache,
+    /// Parameter fingerprint of `net`, fixed for the search's lifetime
+    /// (the network is borrowed immutably); the first field of every
+    /// cache key.
+    net_fingerprint: u64,
 }
 
 /// Normalize an environment step reward to roughly [−1, 0].
@@ -339,19 +351,19 @@ impl<'n> Mcts<'n> {
         Mcts::with_cache(net, config, PredictCache::new(config.cache_capacity))
     }
 
-    /// Create a search reusing an existing prediction cache (the agent
-    /// carries one across episodes and II attempts). The cache is
-    /// re-keyed to `net` immediately, so entries from a different
-    /// parameter state are dropped up front.
+    /// Create a search that reads and writes `cache` in place (the
+    /// agent shares one across episodes and II attempts, the serve pool
+    /// across requests). Entries are keyed by network, problem and
+    /// state, so whatever the cache already holds can only ever serve
+    /// predictions this network would compute.
     #[must_use]
-    pub fn with_cache(net: &'n MapZeroNet, config: MctsConfig, mut cache: PredictCache) -> Self {
+    pub fn with_cache(net: &'n MapZeroNet, config: MctsConfig, cache: PredictCache) -> Self {
         // Pre-register the batching counters so metric dumps show zeros
         // (not absences) for runs that never flush a batch.
         mapzero_obs::counter!("search.batch.flush", 0);
         mapzero_obs::counter!("search.batch.partial", 0);
         mapzero_obs::counter!("search.batch.cache_short_circuit", 0);
         mapzero_obs::counter!("search.expand.offered", 0);
-        cache.ensure_net(net);
         let rng = mapzero_nn::SeedRng::new(config.seed);
         Mcts {
             net,
@@ -361,13 +373,8 @@ impl<'n> Mcts<'n> {
             rng,
             observer: Observer::new(),
             cache,
+            net_fingerprint: net.params_fingerprint(),
         }
-    }
-
-    /// Surrender the prediction cache for reuse by a later search.
-    #[must_use]
-    pub fn into_cache(self) -> PredictCache {
-        self.cache
     }
 
     /// Number of nodes currently in the tree.
@@ -379,15 +386,11 @@ impl<'n> Mcts<'n> {
     /// Reset the tree (e.g. after the environment was rolled back).
     ///
     /// Deliberately does NOT clear the prediction cache — cached
-    /// predictions are keyed by state, not by tree, and stay valid
-    /// across resets. It does re-verify the parameter fingerprint, so
-    /// if the network was updated or rolled back since the last search
-    /// (the tree is reset per decision), stale entries are dropped
-    /// before they can be served.
+    /// predictions are keyed by network, problem and state, not by
+    /// tree, and stay valid across resets.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.root = 0;
-        self.cache.ensure_net(self.net);
     }
 
     /// Run simulations from `root_env` and pick an action for the
@@ -678,7 +681,10 @@ impl<'n> Mcts<'n> {
                     // sweep can never overshoot the pool by more than
                     // the node the pre-walk poll already allowed.
                     budget.charge(1);
-                    let key = self.config.cache_predictions.then(|| state_key(&env));
+                    let key = self
+                        .config
+                        .cache_predictions
+                        .then(|| state_key(self.net_fingerprint, &env));
                     return WalkResult::Pending(Box::new(PendingLeaf {
                         path,
                         rewards,
@@ -706,30 +712,29 @@ impl<'n> Mcts<'n> {
         if pending.len() < batch {
             mapzero_obs::counter!("search.batch.partial");
         }
-        let mut predictions: Vec<Option<Prediction>> = Vec::with_capacity(pending.len());
+        let mut predictions = self.cache.get_many(pending.iter().map(|leaf| leaf.key));
         let mut miss_obs: Vec<crate::embed::Observation> = Vec::new();
         let mut miss_at: Vec<usize> = Vec::new();
-        for (i, leaf) in pending.iter().enumerate() {
-            if let Some(key) = leaf.key {
-                if let Some(pred) = self.cache.get(key) {
-                    mapzero_obs::counter!("search.predict_cache.hit");
-                    mapzero_obs::counter!("search.batch.cache_short_circuit");
-                    predictions.push(Some(pred));
-                    continue;
-                }
-                mapzero_obs::counter!("search.predict_cache.miss");
+        for (i, (leaf, pred)) in pending.iter().zip(&predictions).enumerate() {
+            if pred.is_some() {
+                mapzero_obs::counter!("search.batch.cache_short_circuit");
+            } else {
+                miss_obs.push(self.observer.observe(&leaf.env).clone());
+                miss_at.push(i);
             }
-            miss_obs.push(self.observer.observe(&leaf.env).clone());
-            miss_at.push(i);
-            predictions.push(None);
         }
         if !miss_obs.is_empty() {
+            // The cache lock is not held here: the forward pass hosts
+            // the `infer.predict` failpoint and is the slow step.
             let refs: Vec<&crate::embed::Observation> = miss_obs.iter().collect();
             let batch_preds = self.net.predict_batch(&refs);
+            self.cache.insert_many(
+                miss_at
+                    .iter()
+                    .zip(&batch_preds)
+                    .filter_map(|(&i, pred)| Some((pending[i].key?, pred))),
+            );
             for (i, pred) in miss_at.into_iter().zip(batch_preds) {
-                if let Some(key) = pending[i].key {
-                    self.cache.insert(key, pred.clone());
-                }
                 predictions[i] = Some(pred);
             }
         }
@@ -838,14 +843,12 @@ impl<'n> Mcts<'n> {
         if !self.config.cache_predictions {
             return net.predict(self.observer.observe(env));
         }
-        let key = state_key(env);
-        if let Some(pred) = self.cache.get(key) {
-            mapzero_obs::counter!("search.predict_cache.hit");
+        let key = state_key(self.net_fingerprint, env);
+        if let Some(pred) = self.cache.get_many([Some(key)]).pop().flatten() {
             return pred;
         }
-        mapzero_obs::counter!("search.predict_cache.miss");
         let pred = net.predict(self.observer.observe(env));
-        self.cache.insert(key, pred.clone());
+        self.cache.insert_many([(key, &pred)]);
         pred
     }
 
@@ -1146,54 +1149,79 @@ mod tests {
         assert!((a.root_value - b.root_value).abs() < 1e-12);
     }
 
-    /// `reset` must drop cache entries when the network parameters
-    /// changed (the training-rollback bug), and must keep them when the
-    /// parameters are unchanged.
+    /// After a weight update, a search reusing the old cache must not
+    /// be served a single stale prediction (the parameter fingerprint
+    /// is part of every key) and must decide exactly like an uncached
+    /// search over the updated network. Misses insert and hits do not,
+    /// so "zero hits" shows as the reused cache growing by exactly the
+    /// entry count of a cold-cache search (the global hit counter is
+    /// shared with the unit tests running alongside).
     #[test]
-    fn reset_rekeys_cache_on_weight_change_only() {
+    fn weight_update_makes_old_cache_entries_unreachable() {
         let dfg = suite::by_name("mac").unwrap();
         let cgra = presets::simple_mesh(4, 4);
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         let env = MapEnv::new(&problem);
         let mut net = MapZeroNet::new(16, NetConfig::tiny());
+        let config = MctsConfig { playout: false, ..MctsConfig::fast_test() };
 
-        let mut mcts = Mcts::new(&net, MctsConfig::fast_test());
-        let _ = mcts.search(&env);
-        let mut cache = mcts.into_cache();
-        assert!(!cache.is_empty(), "search should have populated the cache");
+        let cache = PredictCache::new(config.cache_capacity);
+        let _ = Mcts::with_cache(&net, config, cache.clone()).search(&env);
+        let warmed = cache.len();
+        assert!(warmed > 0, "search should have populated the cache");
 
-        // Same parameters: entries survive a reset.
-        let mut mcts = Mcts::with_cache(&net, MctsConfig::fast_test(), cache);
-        mcts.reset();
-        cache = mcts.into_cache();
-        assert!(!cache.is_empty(), "reset must not clear a valid cache");
-
-        // Parameter update: entries must be dropped.
-        let obs = crate::embed::observe(&env);
         let sample = crate::network::TrainSample {
-            observation: obs,
+            observation: crate::embed::observe(&env),
             policy: vec![1.0 / 16.0; 16],
             value: 0.1,
         };
         let _ = net.train_batch(&[sample], 0.01, 5.0);
-        let mcts = Mcts::with_cache(&net, MctsConfig::fast_test(), cache);
-        assert!(
-            mcts.into_cache().is_empty(),
-            "stale entries survived a weight change"
+
+        let reused = Mcts::with_cache(&net, config, cache.clone()).search(&env);
+        let cold = PredictCache::new(config.cache_capacity);
+        let _ = Mcts::with_cache(&net, config, cold.clone()).search(&env);
+        assert_eq!(
+            cache.len() - warmed,
+            cold.len(),
+            "a stale entry was served after a weight update"
         );
+
+        let uncached =
+            Mcts::new(&net, MctsConfig { cache_predictions: false, ..config }).search(&env);
+        assert_eq!(reused.best_action, uncached.best_action);
+        assert_eq!(reused.visit_distribution, uncached.visit_distribution);
+        assert_eq!(reused.root_value.to_bits(), uncached.root_value.to_bits());
+    }
+
+    /// Clones of a cache are one cache: a search through one handle
+    /// warms every other, and a repeat search is served from it.
+    #[test]
+    fn cache_handles_share_entries_in_place() {
+        let dfg = suite::by_name("mac").unwrap();
+        let cgra = presets::simple_mesh(4, 4);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let env = MapEnv::new(&problem);
+        let net = MapZeroNet::new(16, NetConfig::tiny());
+        let config = MctsConfig { playout: false, ..MctsConfig::fast_test() };
+        let cache = PredictCache::new(config.cache_capacity);
+        let first = Mcts::with_cache(&net, config, cache.clone()).search(&env);
+        let warmed = cache.len();
+        assert!(warmed > 0);
+        let second = Mcts::with_cache(&net, config, cache.clone()).search(&env);
+        assert_eq!(cache.len(), warmed, "a repeat search adds no entries");
+        assert_eq!(first.visit_distribution, second.visit_distribution);
+        assert_eq!(first.root_value.to_bits(), second.root_value.to_bits());
     }
 
     /// The flip-flop LRU keeps the entry count bounded by the capacity.
     #[test]
     fn predict_cache_is_bounded() {
-        let mut cache = PredictCache::new(8);
-        cache.fingerprint = Some(1);
-        for k in 0..100u64 {
-            cache.insert(k, Prediction { log_probs: vec![0.0], value: 0.0 });
-        }
+        let cache = PredictCache::new(8);
+        let pred = Prediction { log_probs: vec![0.0], value: 0.0 };
+        cache.insert_many((0..100u64).map(|k| (k, &pred)));
         assert!(cache.len() <= 8, "cache grew to {}", cache.len());
         // Most-recent entries stay resident.
-        assert!(cache.get(99).is_some());
+        assert!(cache.get_many([Some(99)])[0].is_some());
     }
 
     #[test]

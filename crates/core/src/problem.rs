@@ -1,6 +1,7 @@
 //! A fully-specified mapping problem instance at a fixed II.
 
 use crate::candidates::CandidateMap;
+use crate::checkpoint::Fnv64;
 use crate::mapping::MapError;
 use mapzero_arch::Cgra;
 use mapzero_dfg::{mii, modulo_schedule_at, Dfg, NodeId, Schedule, ScheduleError};
@@ -23,6 +24,9 @@ pub struct Problem<'a> {
     order: Vec<NodeId>,
     /// Precomputed per-node candidate sets (None on the unpruned path).
     candidates: Option<CandidateMap>,
+    /// Content hash of everything an observation of this problem
+    /// depends on besides the placements; see [`Problem::fingerprint`].
+    fingerprint: u64,
 }
 
 impl<'a> Problem<'a> {
@@ -46,7 +50,8 @@ impl<'a> Problem<'a> {
         let rank = dfg.topological_rank();
         let mut order: Vec<NodeId> = dfg.node_ids().collect();
         order.sort_by_key(|u| (schedule.time(*u), rank[u.index()]));
-        Ok(Problem { dfg, cgra, schedule, order, candidates: None })
+        let fingerprint = content_fingerprint(dfg, cgra, &schedule);
+        Ok(Problem { dfg, cgra, schedule, order, candidates: None, fingerprint })
     }
 
     /// Attach precomputed candidate sets (the space/time-decoupled
@@ -67,7 +72,27 @@ impl<'a> Problem<'a> {
             (map.candidate_count(*u), schedule.time(*u), rank[u.index()], u.0)
         });
         self.candidates = Some(map);
+        // Pruned and unpruned runs observe different masks and orders
+        // for the same placements, so they must never share a key.
+        let mut h = Fnv64::new();
+        h.write_u64(self.fingerprint);
+        h.write_u64(1);
+        self.fingerprint = h.finish();
         self
+    }
+
+    /// A content fingerprint of the problem: the DFG's opcodes and
+    /// edges (with iteration distances), the fabric's PE capabilities,
+    /// positions and links, the II and the schedule's time slots, and
+    /// whether candidate pruning is on. Names and addresses are not
+    /// hashed, so equal content built twice gets the same fingerprint.
+    ///
+    /// Together with the placement vector this determines the
+    /// observation the network sees, which is what lets prediction
+    /// caches share entries across requests without mixing problems.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// The precomputed candidate sets, when pruning is enabled.
@@ -127,6 +152,44 @@ impl<'a> Problem<'a> {
     }
 }
 
+/// Hash the problem content an observation depends on (see
+/// [`Problem::fingerprint`]).
+fn content_fingerprint(dfg: &Dfg, cgra: &Cgra, schedule: &Schedule) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_usize(dfg.node_count());
+    for u in dfg.node_ids() {
+        let node = dfg.node(u);
+        h.write_usize(node.opcode.code());
+        h.write_usize(usize::from(node.has_self_cycle));
+        h.write_u64(u64::from(schedule.time(u)));
+    }
+    h.write_usize(dfg.edge_count());
+    for e in dfg.edges() {
+        h.write_usize(e.src.index());
+        h.write_usize(e.dst.index());
+        h.write_u64(u64::from(e.dist));
+    }
+    h.write_u64(u64::from(schedule.ii()));
+    h.write_usize(cgra.rows());
+    h.write_usize(cgra.cols());
+    h.write_usize(cgra.style() as usize);
+    h.write_usize(usize::from(cgra.row_shared_mem_bus()));
+    for p in cgra.pe_ids() {
+        let pe = cgra.pe(p);
+        h.write_usize(pe.row);
+        h.write_usize(pe.col);
+        h.write_usize(usize::from(pe.capability.logical));
+        h.write_usize(usize::from(pe.capability.arithmetic));
+        h.write_usize(usize::from(pe.capability.memory));
+        let links = cgra.links_from(p);
+        h.write_usize(links.len());
+        for q in links {
+            h.write_usize(q.index());
+        }
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +205,49 @@ mod tests {
         let times: Vec<u32> = p.order().iter().map(|&u| p.schedule().time(u)).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(p.order().len(), dfg.node_count());
+    }
+
+    #[test]
+    fn fingerprint_hashes_content_not_names() {
+        let dfg = suite::by_name("mac").unwrap();
+        let cgra = presets::hrea();
+        let base = Problem::new(&dfg, &cgra, 1).unwrap();
+        // Rebuilt under other names: same content, same fingerprint.
+        let mut renamed = mapzero_dfg::DfgBuilder::new("renamed");
+        for u in dfg.node_ids() {
+            renamed.node(dfg.node(u).opcode);
+        }
+        for e in dfg.edges() {
+            if e.dist == 0 {
+                renamed.edge(e.src, e.dst).unwrap();
+            } else {
+                renamed.back_edge(e.src, e.dst, e.dist).unwrap();
+            }
+        }
+        let renamed = renamed.finish().unwrap();
+        let mut fabric = mapzero_arch::CgraBuilder::new("renamed", 4, 4);
+        for p in cgra.pe_ids() {
+            let pe = cgra.pe(p);
+            fabric = fabric.capability(pe.row, pe.col, pe.capability);
+        }
+        for p in cgra.pe_ids() {
+            for &q in cgra.links_from(p) {
+                fabric = fabric.link(p, q);
+            }
+        }
+        let fabric = fabric.finish();
+        let twin = Problem::new(&renamed, &fabric, 1).unwrap();
+        assert_eq!(base.fingerprint(), twin.fingerprint());
+        // II, pruning and fabric each change it.
+        let wider = Problem::new(&dfg, &cgra, 2).unwrap();
+        assert_ne!(base.fingerprint(), wider.fingerprint());
+        let pruned = base.clone().with_candidate_pruning();
+        assert_ne!(base.fingerprint(), pruned.fingerprint());
+        let (morphosys, adres) = (presets::morphosys(), presets::adres());
+        assert_ne!(
+            Problem::new(&dfg, &morphosys, 1).unwrap().fingerprint(),
+            Problem::new(&dfg, &adres, 1).unwrap().fingerprint()
+        );
     }
 
     #[test]

@@ -27,8 +27,12 @@
 //!
 //! Shared state is confined to things a dying worker cannot poison: the
 //! queue (mutex with explicit poison recovery), `Arc`'d read-only
-//! networks, and the prediction cache (drained by value per episode — a
-//! panic loses borrowed entries, never corrupts the slot).
+//! networks, and the prediction cache. Every worker's searches read and
+//! write the cache in place under a short lock that is never held
+//! across inference; its entries are keyed by network, problem and
+//! search state, so what one request leaves in it can only save another
+//! request a forward pass, never change its result, and a poisoned lock
+//! is recovered like the queue's.
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreakers};
 use crate::journal::{Journal, JournalSnapshot};
@@ -171,8 +175,9 @@ struct Shared {
     queue: JobQueue<QueuedRequest>,
     /// One network per fabric size, shared by every worker's compiler.
     nets: Mutex<HashMap<usize, Arc<MapZeroNet>>>,
-    /// One prediction cache shared by every worker.
-    cache: Arc<Mutex<PredictCache>>,
+    /// One prediction cache every worker's searches read and write in
+    /// place.
+    cache: PredictCache,
     handles: Mutex<Vec<JoinHandle<()>>>,
     stats: ServiceStats,
     /// Interned `serve.inflight.<tenant>` gauge names (the registry
@@ -213,13 +218,12 @@ impl MapService {
     /// [`MapService::submit_replayed`] after this returns.
     #[must_use]
     pub fn start_with_journal(config: ServeConfig, journal: Option<Journal>) -> Self {
-        let cache_capacity = config.compiler.agent.mcts.cache_capacity.max(2);
         let workers = config.workers.max(1);
         let breakers = CircuitBreakers::new(config.breaker);
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue),
             nets: Mutex::new(HashMap::new()),
-            cache: Arc::new(Mutex::new(PredictCache::new(cache_capacity))),
+            cache: PredictCache::new(config.compiler.agent.mcts.cache_capacity),
             handles: Mutex::new(Vec::new()),
             stats: ServiceStats::default(),
             tenant_gauges: Mutex::new(HashMap::new()),
@@ -569,6 +573,7 @@ impl MapService {
                 Json::obj(vec![
                     ("predict_hit", Json::from(reg.counter("search.predict_cache.hit").get())),
                     ("predict_miss", Json::from(reg.counter("search.predict_cache.miss").get())),
+                    ("entries", Json::from(shared.cache.len() as u64)),
                 ]),
             ),
             (
@@ -629,7 +634,7 @@ fn spawn_worker(shared: Arc<Shared>) {
 
 fn build_compiler(shared: &Shared) -> Compiler {
     let mut compiler = Compiler::new(shared.config.compiler)
-        .with_shared_cache(Arc::clone(&shared.cache));
+        .with_shared_cache(shared.cache.clone());
     if shared.config.hedge {
         let sa = SaConfig {
             max_extra_ii: shared.config.compiler.max_extra_ii,

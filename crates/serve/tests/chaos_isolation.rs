@@ -6,9 +6,14 @@
 //!
 //! Determinism backing the bit-identical claim: `fast_test` disables
 //! hedging (single engine), `MapZeroNet::new` is deterministic in
-//! (size, seed), and the shared prediction cache only memoizes values
-//! the deterministic net would recompute — so cache state perturbed by
-//! tenant A cannot change tenant B's search results.
+//! (size, seed), and every worker reads and writes the one shared
+//! prediction cache in place under keys made of the network's parameter
+//! fingerprint, the problem's content fingerprint and the search state.
+//! An entry therefore only ever answers for the exact state it was
+//! computed on, so whatever tenant A's requests leave in the cache can
+//! spare tenant B a forward pass but cannot change B's search results;
+//! and since the cache lock is never held across inference, A's stalled
+//! or panicking forward passes cannot block B on it.
 
 use mapzero_arch::presets;
 use mapzero_core::mapping::Mapping;

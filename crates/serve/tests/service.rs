@@ -218,3 +218,46 @@ fn tenant_inflight_cap_is_enforced_under_load() {
     assert!(responses.iter().all(|r| r.outcome == Outcome::Mapped));
     service.shutdown();
 }
+
+/// Both workers read and write the one prediction cache in place: after
+/// a cold first request, a burst of identical repeats on two workers is
+/// served from it entirely — not one lookup misses, so no repeat ran on
+/// an empty cache — and every repeat maps exactly like the cold reply.
+/// The cache counters are process-global; the `serial` lock keeps other
+/// services of this binary from bumping them meanwhile.
+#[test]
+fn concurrent_repeats_are_served_from_the_shared_prediction_cache() {
+    let _g = serial();
+    let service = MapService::start(ServeConfig::fast_test());
+    assert_eq!(ServeConfig::fast_test().workers, 2);
+    let reg = mapzero_obs::metrics::registry();
+    let hit = reg.counter("search.predict_cache.hit");
+    let miss = reg.counter("search.predict_cache.miss");
+
+    let (hit0, miss0) = (hit.get(), miss.get());
+    let cold = service.process_batch(vec![request("cold", "acme", "mac")]).remove(0);
+    assert_eq!(cold.outcome, Outcome::Mapped, "{:?}", cold.error);
+    let cold_misses = miss.get() - miss0;
+    let lookups = hit.get() - hit0 + cold_misses;
+    assert!(cold_misses > 0, "the first request starts on an empty cache");
+    let entries = |service: &MapService| {
+        service.status_json().get("cache").and_then(|c| c.get("entries")).and_then(|e| e.as_u64())
+    };
+    assert_eq!(entries(&service), Some(cold_misses), "every miss inserts one entry");
+
+    let repeats = 6u64;
+    let (hit1, miss1) = (hit.get(), miss.get());
+    let burst = (0..repeats)
+        .map(|i| request(&format!("repeat-{i}"), ["acme", "beta"][i as usize % 2], "mac"))
+        .collect();
+    let responses = service.process_batch(burst);
+    assert_eq!(miss.get() - miss1, 0, "a repeat missed the warm cache");
+    assert_eq!(hit.get() - hit1, repeats * lookups, "every repeat hits on every lookup");
+    assert_eq!(responses.len(), repeats as usize);
+    for r in &responses {
+        assert_eq!(r.outcome, Outcome::Mapped, "{}: {:?}", r.id, r.error);
+        assert_eq!(r.mapping, cold.mapping, "{} mapped differently from the cold reply", r.id);
+    }
+    assert_eq!(entries(&service), Some(cold_misses), "repeats add no entries");
+    service.shutdown();
+}

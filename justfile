@@ -62,6 +62,13 @@ bench-batch:
     cargo run --release -p mapzero-bench --bin hotpath
     @python3 -c "import json; rows = json.load(open('results/BENCH_hotpath.json'))['batch_scaling']; print('batch  pred/s   vs scalar'); [print(f\"{int(r['batch']):>5}  {r['predictions_per_sec']:>7.0f}  {r['speedup_vs_scalar']:>8.2f}x\") for r in rows]"
 
+# Repository benchmark: the BENCHMARK.json command for one workload
+# (table2_small or serve_mix) over its 40-second run, offline. trace=1
+# prints the per-layer metrics instead of the end-to-end ones.
+perfbench workload seed="1" trace="0":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload {{workload}} --seed {{seed}} --seconds 40 --trace {{trace}}
+
 # Regenerate every paper table/figure (quick mode).
 figures:
     cargo run --release -p mapzero-bench --bin run_all
