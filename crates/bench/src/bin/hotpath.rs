@@ -1,26 +1,32 @@
-//! Inference hot-path benchmark: the tape-free forward + DFG-branch
-//! memo + MCTS prediction cache against their naive counterparts.
+//! Inference hot-path benchmark: the tape-free forward, leaf batching
+//! and the MCTS search path against their baselines.
 //!
-//! Three measurements:
+//! Four measurements:
 //!
 //! 1. **Prediction throughput** — `predict_reference` (autodiff tape,
-//!    per-op allocations) vs `predict` (InferCtx scratch reuse, memoized
-//!    DFG branch) on a fixed observation, in predictions/second.
+//!    per-op allocations) vs `predict_batch` of one observation
+//!    (InferCtx scratch reuse) on a fixed observation, in
+//!    predictions/second.
 //! 2. **Batched leaf evaluation scaling** — `predict_batch` at batch
-//!    sizes 1/4/8/16 against the one-at-a-time scalar path over
-//!    distinct episode states (the MCTS leaf workload). Each batch size
-//!    is measured as interleaved scalar/batched pairs and summarized as
-//!    the median of per-pair throughput ratios, which cancels slow
-//!    frequency/thermal drift that a sequential A-then-B layout folds
-//!    into the comparison.
+//!    sizes 1/4/8/16 under the SIMD kernels against `predict_batch` of
+//!    one under the scalar kernels, over distinct episode states (the
+//!    MCTS leaf workload). Each round runs the scalar arm and every
+//!    batch size back to back in rotated order, and each K is
+//!    summarized as the median over rounds of its throughput ratio to
+//!    the round's scalar sample, which cancels slow frequency/thermal
+//!    drift that a sequential A-then-B layout folds into the
+//!    comparison.
 //! 3. **End-to-end compile time** — the Fig. 11 MapZero configuration on
-//!    a workload kernel, with the MCTS prediction cache off vs on.
+//!    a workload kernel, one leaf per sweep (`leaf_batch = 1`) vs the
+//!    default leaf batch.
+//! 4. **Candidate pruning** — the same compile with
+//!    `prune_candidates` off vs on.
 //!
 //! Results land in `results/BENCH_hotpath.json` with the run's metric
 //! deltas (including the `search.predict_cache.{hit,miss}` and
-//! `nn.dfg_embed.{hit,miss}` counters) plus the `batch_scaling` table
-//! and `batch8_speedup`, so `scripts/ci.sh` can schema-check the file
-//! and flag throughput regressions against the committed baseline.
+//! `search.batch.*` counters) plus the `batch_scaling` table and
+//! `batch8_speedup`, so `scripts/ci.sh` can schema-check the file and
+//! flag throughput regressions against the committed baseline.
 
 use mapzero_bench::{BenchMode, Harness};
 use mapzero_core::embed::observe;
@@ -37,7 +43,7 @@ fn median(xs: &mut [f64]) -> f64 {
 
 /// Run `f` repeatedly for at least `budget`, returning calls/second.
 fn throughput(budget: Duration, mut f: impl FnMut()) -> f64 {
-    // Warm-up: fill scratch buffers / memo so steady state is measured.
+    // Warm-up: fill scratch buffers so steady state is measured.
     f();
     let started = Instant::now();
     let mut calls = 0u64;
@@ -65,7 +71,7 @@ fn main() {
     let obs = observe(&env);
     let net = MapZeroNet::new(cgra.pe_count(), NetConfig::default());
     assert_eq!(
-        net.predict(&obs),
+        net.predict_batch(&[&obs])[0],
         net.predict_reference(&obs),
         "hot path must stay bit-identical to the reference"
     );
@@ -74,9 +80,9 @@ fn main() {
     let ref_rate = throughput(budget, || {
         std::hint::black_box(net.predict_reference(&obs));
     });
-    h.progress("measuring predict (tape-free + memo)");
+    h.progress("measuring predict_batch of one (tape-free)");
     let fast_rate = throughput(budget, || {
-        std::hint::black_box(net.predict(&obs));
+        std::hint::black_box(net.predict_batch(&[&obs]));
     });
     let predict_speedup = fast_rate / ref_rate.max(f64::MIN_POSITIVE);
     h.note(format!(
@@ -88,13 +94,12 @@ fn main() {
 
     // --- 2. Batched leaf evaluation scaling --------------------------
     // The MCTS leaf workload: distinct mid-episode states of one
-    // problem (so the DFG memo never short-circuits the comparison —
-    // real leaves all differ in placement). The scalar arm is the
-    // pre-batching configuration — scalar kernels (`SimdKind::Scalar`,
-    // libm tanh, sequential reductions), one `predict` per leaf. The
-    // batched arm is this PR's configuration — SIMD kernels
-    // (`SimdKind::Lanes8`) plus `predict_batch` over K leaves. Kernel
-    // kinds are switched per arm via `simd::force_kind`, then restored.
+    // problem (real leaves all differ in placement). The scalar arm is
+    // the unbatched configuration — scalar kernels (`SimdKind::Scalar`,
+    // libm tanh), one `predict_batch` of one per leaf. The batched arm
+    // is the search's configuration — SIMD kernels (`SimdKind::Lanes8`)
+    // plus `predict_batch` over K leaves. Kernel kinds are switched per
+    // arm via `simd::force_kind`, then restored.
     let mut states = Vec::new();
     {
         let mut walk = MapEnv::new(&problem);
@@ -110,53 +115,64 @@ fn main() {
     assert!(!states.is_empty(), "conv3 episode yields at least one state");
     let leaf_obs: Vec<&mapzero_core::embed::Observation> = states.iter().collect();
     let default_kind = mapzero_nn::simd::kind();
-    let pairs = 5usize;
     let slice = budget / 16;
+    let batch_sizes = [1usize, 4, 8, 16];
+    // Pre-built K-chunks cycling the episode states, per batch size.
+    let chunks: Vec<Vec<Vec<&mapzero_core::embed::Observation>>> = batch_sizes
+        .iter()
+        .map(|&k| {
+            (0..8)
+                .map(|c| (0..k).map(|j| leaf_obs[(c * k + j) % leaf_obs.len()]).collect())
+                .collect()
+        })
+        .collect();
+    // Arm 0 is the scalar baseline, arm i > 0 batch size
+    // `batch_sizes[i - 1]`. Every round runs all arms back to back, so
+    // each K's ratio and the K=1 ratio share the round's scalar sample
+    // and drift between rounds cancels in the K-vs-K comparison.
+    let arm_rate = |arm: usize, round: usize| -> f64 {
+        let rate = if arm == 0 {
+            mapzero_nn::simd::force_kind(mapzero_nn::simd::SimdKind::Scalar);
+            let mut cursor = round;
+            throughput(slice, || {
+                std::hint::black_box(net.predict_batch(&[leaf_obs[cursor % leaf_obs.len()]]));
+                cursor += 1;
+            })
+        } else {
+            mapzero_nn::simd::force_kind(mapzero_nn::simd::SimdKind::Lanes8);
+            let arm_chunks = &chunks[arm - 1];
+            let mut chunk = round;
+            throughput(slice, || {
+                std::hint::black_box(net.predict_batch(&arm_chunks[chunk % arm_chunks.len()]));
+                chunk += 1;
+            }) * batch_sizes[arm - 1] as f64
+        };
+        mapzero_nn::simd::force_kind(default_kind);
+        rate
+    };
+    let arms = batch_sizes.len() + 1;
+    let rounds = 16usize;
+    let mut ratios = vec![Vec::new(); batch_sizes.len()];
+    let mut rates = vec![Vec::new(); batch_sizes.len()];
+    for round in 0..rounds {
+        h.progress(format!("measuring predict_batch at K={batch_sizes:?} (round {}/{rounds})", round + 1));
+        // Rotate the arm order per round so position-in-round drift
+        // cancels across the median instead of biasing one arm.
+        let mut sample = vec![0.0f64; arms];
+        for step in 0..arms {
+            let arm = (round + step) % arms;
+            sample[arm] = arm_rate(arm, round);
+        }
+        for (i, &rate) in sample[1..].iter().enumerate() {
+            ratios[i].push(rate / sample[0].max(f64::MIN_POSITIVE));
+            rates[i].push(rate);
+        }
+    }
     let mut scaling = Vec::new();
     let mut batch8_speedup = f64::NAN;
-    for &k in &[1usize, 4, 8, 16] {
-        h.progress(format!("measuring predict_batch at K={k} (interleaved pairs)"));
-        // Pre-built K-chunks cycling the episode states.
-        let chunks: Vec<Vec<&mapzero_core::embed::Observation>> = (0..8)
-            .map(|c| (0..k).map(|j| leaf_obs[(c * k + j) % leaf_obs.len()]).collect())
-            .collect();
-        let mut ratios = Vec::new();
-        let mut rates = Vec::new();
-        for p in 0..pairs {
-            let mut cursor = 0usize;
-            let mut scalar_arm = || {
-                mapzero_nn::simd::force_kind(mapzero_nn::simd::SimdKind::Scalar);
-                let rate = throughput(slice, || {
-                    std::hint::black_box(net.predict(leaf_obs[cursor % leaf_obs.len()]));
-                    cursor += 1;
-                });
-                mapzero_nn::simd::force_kind(default_kind);
-                rate
-            };
-            let mut chunk = 0usize;
-            let mut batch_arm = || {
-                mapzero_nn::simd::force_kind(mapzero_nn::simd::SimdKind::Lanes8);
-                let rate = throughput(slice, || {
-                    std::hint::black_box(net.predict_batch(&chunks[chunk % chunks.len()]));
-                    chunk += 1;
-                }) * k as f64;
-                mapzero_nn::simd::force_kind(default_kind);
-                rate
-            };
-            // Alternate arm order per pair so drift within a pair
-            // cancels across the median instead of biasing one arm.
-            let (scalar_rate, batch_rate) = if p % 2 == 0 {
-                let s = scalar_arm();
-                (s, batch_arm())
-            } else {
-                let b = batch_arm();
-                (scalar_arm(), b)
-            };
-            ratios.push(batch_rate / scalar_rate.max(f64::MIN_POSITIVE));
-            rates.push(batch_rate);
-        }
-        let speedup = median(&mut ratios);
-        let rate = median(&mut rates);
+    for ((&k, ratios), rates) in batch_sizes.iter().zip(&mut ratios).zip(&mut rates) {
+        let speedup = median(ratios);
+        let rate = median(rates);
         h.note(format!("batch {k}: {rate:.0} predictions/sec, {speedup:.2}x vs scalar"));
         if k == 8 {
             batch8_speedup = speedup;
@@ -174,24 +190,24 @@ fn main() {
     // Network-guided search (no playout early exit — the same search
     // the self-play trainer runs): every placement decision is a full
     // MCTS pass, so compile time is dominated by inference and the
-    // prediction cache's end-to-end effect is visible.
+    // end-to-end effect of leaf batching is visible.
     let kernel = match mode {
         BenchMode::Quick => "conv3",
         BenchMode::Full => "cap",
     };
     let dfg = mapzero_dfg::suite::by_name(kernel).expect("kernel exists");
     let limit = mode.time_limit();
-    // `before` reproduces the pre-overhaul pipeline (tape-based forward,
-    // naive featurization, no prediction cache); `after` is the full
-    // hot path. Both produce bit-identical mappings.
+    // `before` evaluates one leaf per sweep (`leaf_batch = 1`, plain
+    // sequential MCTS); `after` is the default leaf batch.
     let compile_secs = |label: &str, before: bool| -> f64 {
         // Best of three runs per arm, damping scheduler noise on the
         // short quick-mode compiles.
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let mut config = mode.mapzero_config();
-            config.agent.mcts.use_reference_forward = before;
-            config.agent.mcts.cache_predictions = !before;
+            if before {
+                config.agent.mcts.leaf_batch = 1;
+            }
             config.agent.mcts.playout = false;
             // No pretraining: this measures the search path, not training.
             config.pretrain = None;
@@ -208,10 +224,10 @@ fn main() {
         }
         best
     };
-    h.progress(format!("compiling {kernel} with the pre-overhaul inference path"));
-    let before = compile_secs("before: tape + naive observe", true);
-    h.progress(format!("compiling {kernel} with the hot path + prediction cache"));
-    let after = compile_secs("after: tape-free + cache", false);
+    h.progress(format!("compiling {kernel} with one leaf per sweep"));
+    let before = compile_secs("before: leaf_batch 1", true);
+    h.progress(format!("compiling {kernel} with the default leaf batch"));
+    let after = compile_secs("after: default leaf_batch", false);
     let compile_speedup = before / after.max(f64::MIN_POSITIVE);
     h.note(format!("end-to-end compile speedup: {compile_speedup:.2}x"));
     h.field("compile_kernel", Json::from(kernel));
@@ -237,6 +253,7 @@ fn main() {
         let _ = compiler.map_with_limit(&dfg, &cgra, limit);
         started.elapsed().as_secs_f64()
     };
+    let pairs = 5usize;
     let mut prune_ratios = Vec::new();
     for p in 0..pairs {
         h.progress(format!("compiling {kernel} prune off/on (pair {}/{pairs})", p + 1));

@@ -294,7 +294,7 @@ impl<'n> MapZeroAgent<'n> {
             // Greedy policy placement (no-MCTS ablation). The episode's
             // scratch buffer absorbs the softmax output, so the per-
             // decision allocation is only the cached copy.
-            let pred = self.net.predict(&observe(env));
+            let pred = self.net.predict_batch(&[&observe(env)]).swap_remove(0);
             pred.probs_into(probs_scratch);
             let action = best_by_score(&legal, probs_scratch, env)?;
             *cached = Some(probs_scratch.clone());

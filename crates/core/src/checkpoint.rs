@@ -121,10 +121,6 @@ impl Fnv64 {
         self.write_u64(v as u64);
     }
 
-    pub(crate) fn write_f32(&mut self, v: f32) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
     pub(crate) fn finish(&self) -> u64 {
         self.0
     }
@@ -589,8 +585,8 @@ mod tests {
         let env = crate::env::MapEnv::new(&problem);
         let obs = crate::embed::observe(&env);
         assert_eq!(
-            a.net_for(16).unwrap().predict(&obs),
-            b.net_for(16).unwrap().predict(&obs)
+            a.net_for(16).unwrap().predict_batch(&[&obs]),
+            b.net_for(16).unwrap().predict_batch(&[&obs])
         );
     }
 
@@ -612,8 +608,8 @@ mod tests {
         let env = crate::env::MapEnv::new(&problem);
         let obs = crate::embed::observe(&env);
         assert_eq!(
-            a.net_for(16).unwrap().predict(&obs),
-            b.net_for(16).unwrap().predict(&obs)
+            a.net_for(16).unwrap().predict_batch(&[&obs]),
+            b.net_for(16).unwrap().predict_batch(&[&obs])
         );
     }
 

@@ -14,7 +14,7 @@
 //! | site | location | useful actions |
 //! |---|---|---|
 //! | `route.pre` | [`crate::router::route_edge`] | panic |
-//! | `infer.predict` | [`crate::network::MapZeroNet::predict`] | panic, delay |
+//! | `infer.predict` | [`crate::network::MapZeroNet::predict_batch`] | panic, delay |
 //! | `compile.attempt` | [`crate::compiler::Compiler`] attempt loop | panic |
 //! | `train.pre_epoch` | [`crate::train::Trainer`] epoch loop | panic |
 //! | `checkpoint.pre_write` | before each checkpoint payload write | io |

@@ -42,29 +42,14 @@ pub struct MctsConfig {
     pub playout_step_limit: usize,
     /// Playout RNG seed (tie-breaking).
     pub seed: u64,
-    /// Memoize network predictions by search state (transposition
-    /// cache). Hits are bit-identical to recomputation, so this is a
-    /// pure speed knob.
-    pub cache_predictions: bool,
     /// Capacity of the prediction cache (entries).
     pub cache_capacity: usize,
-    /// Evaluate leaves through [`MapZeroNet::predict_reference`] (the
-    /// tape-based forward) instead of the tape-free hot path. The two
-    /// are bit-identical; this exists as the "before" arm of the
-    /// hot-path benchmark and as an end-to-end equivalence oracle.
-    /// Forces the scalar (unbatched) simulation loop regardless of
-    /// [`MctsConfig::batch_leaves`].
-    pub use_reference_forward: bool,
-    /// Collect leaves under virtual loss and evaluate them through one
-    /// batched forward pass ([`MapZeroNet::predict_batch`]) instead of
-    /// one network call per simulation. With `leaf_batch == 1` the
-    /// batched loop reproduces the scalar loop exactly (same visit
-    /// counts, same values, bit-identical predictions); at larger batch
-    /// sizes selection diverges by design (virtual loss) and leaf
-    /// evaluations follow the batched-forward tolerance contract.
-    pub batch_leaves: bool,
-    /// Maximum leaves evaluated per batched forward (K). Values `< 1`
-    /// behave as 1.
+    /// Maximum leaves collected under virtual loss and evaluated per
+    /// batched forward ([`MapZeroNet::predict_batch`]), K. With K = 1
+    /// every sweep holds one leaf, which is plain sequential MCTS;
+    /// larger K trades selection fidelity (virtual loss steers later
+    /// walks of a sweep away from pending leaves) for fewer, wider
+    /// forward passes. Values `< 1` behave as 1.
     pub leaf_batch: usize,
     /// Build problems with precomputed candidate sets
     /// ([`crate::candidates`]): the action mask is hard-pruned to each
@@ -90,10 +75,7 @@ impl Default for MctsConfig {
             playout: true,
             playout_step_limit: usize::MAX,
             seed: 0,
-            cache_predictions: true,
             cache_capacity: 4096,
-            use_reference_forward: false,
-            batch_leaves: true,
             leaf_batch: 8,
             prune_candidates: true,
         }
@@ -228,13 +210,13 @@ impl PredictCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Probe every key under one lock; `None` keys are not looked up.
-    /// Hits and misses are counted as `search.predict_cache.{hit,miss}`.
-    fn get_many(&self, keys: impl IntoIterator<Item = Option<u64>>) -> Vec<Option<Prediction>> {
+    /// Probe every key under one lock. Hits and misses are counted as
+    /// `search.predict_cache.{hit,miss}`.
+    fn get_many(&self, keys: impl IntoIterator<Item = u64>) -> Vec<Option<Prediction>> {
         let mut lru = self.lock();
         keys.into_iter()
             .map(|key| {
-                let pred = lru.get(key?);
+                let pred = lru.get(key);
                 if pred.is_some() {
                     mapzero_obs::counter!("search.predict_cache.hit");
                 } else {
@@ -327,9 +309,9 @@ struct PendingLeaf<'p> {
     env: MapEnv<'p>,
     /// Legal actions at the leaf (non-empty; dead ends resolve inline).
     legal: Vec<PeId>,
-    /// Transposition key of the leaf state, when caching is enabled.
-    /// Captured before the playout mutates `env`.
-    key: Option<u64>,
+    /// Transposition key of the leaf state, captured before the playout
+    /// mutates `env`.
+    key: u64,
 }
 
 /// Outcome of one batched selection walk.
@@ -419,33 +401,14 @@ impl<'n> Mcts<'n> {
         let _span = mapzero_obs::span!("mcts.search");
         let _phase = mapzero_obs::phase::phase_guard(mapzero_obs::Phase::Expand);
         self.reset();
-        let (root, _) = self.expand(root_env);
-        self.root = root;
+        self.root = self.expand_root(root_env);
         budget.charge(1);
         assert!(
-            !self.nodes[root].edges.is_empty(),
+            !self.nodes[self.root].edges.is_empty(),
             "no legal action at the root"
         );
-        let mut root_return = 0.0f64;
         let mut solution = None;
-        if self.config.batch_leaves && !self.config.use_reference_forward {
-            root_return = self.run_batched_sims(root_env, budget, &mut solution);
-        } else {
-            for _ in 0..self.config.simulations {
-                if budget.exhausted() {
-                    break;
-                }
-                let before = self.nodes.len();
-                let mut env = root_env.clone();
-                mapzero_obs::counter!("mcts.simulations");
-                let value = self.simulate(self.root, &mut env, &mut solution);
-                budget.charge((self.nodes.len() - before) as u64);
-                root_return += value;
-                if solution.is_some() {
-                    break;
-                }
-            }
-        }
+        let root_return = self.run_simulations(root_env, budget, &mut solution);
         let pe_count = root_env.problem().cgra().pe_count();
         let mut visit_distribution = vec![0.0f32; pe_count];
         let root_node = &self.nodes[self.root];
@@ -478,62 +441,7 @@ impl<'n> Mcts<'n> {
         }
     }
 
-    /// One selection→expansion→evaluation→backpropagation pass.
-    /// Returns the (normalized) value observed from `node`.
-    fn simulate(
-        &mut self,
-        node: usize,
-        env: &mut MapEnv<'_>,
-        solution: &mut Option<Mapping>,
-    ) -> f64 {
-        self.nodes[node].visits += 1;
-        if env.done() {
-            return terminal_value(env);
-        }
-        if self.nodes[node].edges.is_empty() {
-            // Dead end: a node is scheduled but no PE is legal.
-            return -1.0;
-        }
-        let edge_idx = self.select_edge(node);
-        let action = self.nodes[node].edges[edge_idx].action;
-        let outcome = env.step(action);
-        let step_value = norm_reward(outcome.reward);
-
-        let child_value = if env.success() {
-            *solution = env.final_mapping();
-            1.0
-        } else if env.done() {
-            -1.0
-        } else {
-            match self.nodes[node].edges[edge_idx].child {
-                Some(child) => self.simulate(child, env, solution),
-                None => {
-                    // Expansion + evaluation of the new leaf: network
-                    // value plus, optionally, a greedy playout that can
-                    // complete the mapping (early exit, §3.5).
-                    let (child, net_value) = self.expand(env);
-                    self.nodes[node].edges[edge_idx].child = Some(child);
-                    self.nodes[child].visits += 1;
-                    // A doomed leaf cannot complete conflict-free, so a
-                    // playout from it is wasted work (no-op when pruning
-                    // is off — `doomed` is then always false).
-                    if self.config.playout && !env.doomed() {
-                        let playout_value = self.playout(env, solution);
-                        0.5 * (net_value + playout_value)
-                    } else {
-                        net_value
-                    }
-                }
-            }
-        };
-        let value = (step_value + child_value).clamp(-1.0, 1.0);
-        let edge = &mut self.nodes[node].edges[edge_idx];
-        edge.visits += 1;
-        edge.total_value += value;
-        value
-    }
-
-    /// The batched simulation loop: sweeps of selection walks collect
+    /// The simulation loop (Alg. 1): sweeps of selection walks collect
     /// up to `leaf_batch` fresh leaves under virtual loss, one
     /// [`MapZeroNet::predict_batch`] call evaluates them, and the flush
     /// backs every walk up (reverting its virtual losses) in selection
@@ -545,9 +453,9 @@ impl<'n> Mcts<'n> {
     /// which walks run or when values are applied, so cache *contents*
     /// cannot change a search result (the invariant the serve tenant-
     /// isolation suite pins). With `leaf_batch == 1` each sweep holds
-    /// one leaf and the loop reproduces the scalar `simulate` loop
-    /// update for update.
-    fn run_batched_sims<'p>(
+    /// one leaf: select, expand, evaluate and back up, one simulation
+    /// at a time.
+    fn run_simulations<'p>(
         &mut self,
         root_env: &MapEnv<'p>,
         budget: &Budget,
@@ -663,7 +571,7 @@ impl<'n> Mcts<'n> {
                     if legal.is_empty() {
                         // Dead-end leaf: expand inline (no network
                         // query — the masked softmax needs a legal
-                        // action) exactly like the scalar path.
+                        // action).
                         mapzero_obs::counter!("mcts.expansions");
                         self.nodes.push(TreeNode { edges: Vec::new(), visits: 1 });
                         let leaf = self.nodes.len() - 1;
@@ -681,10 +589,7 @@ impl<'n> Mcts<'n> {
                     // sweep can never overshoot the pool by more than
                     // the node the pre-walk poll already allowed.
                     budget.charge(1);
-                    let key = self
-                        .config
-                        .cache_predictions
-                        .then(|| state_key(self.net_fingerprint, &env));
+                    let key = state_key(self.net_fingerprint, &env);
                     return WalkResult::Pending(Box::new(PendingLeaf {
                         path,
                         rewards,
@@ -698,10 +603,9 @@ impl<'n> Mcts<'n> {
     }
 
     /// Evaluate and resolve every pending leaf of a sweep, in selection
-    /// order: probe the transposition cache (hits never occupy a batch
-    /// slot), run one batched forward over the misses, then expand,
-    /// play out and back up each leaf. Returns the summed root-level
-    /// values.
+    /// order: one [`Mcts::evaluate`] call scores them all, then each
+    /// leaf is expanded, played out and backed up. Returns the summed
+    /// root-level values.
     fn flush_pending(
         &mut self,
         pending: &mut Vec<PendingLeaf<'_>>,
@@ -712,35 +616,11 @@ impl<'n> Mcts<'n> {
         if pending.len() < batch {
             mapzero_obs::counter!("search.batch.partial");
         }
-        let mut predictions = self.cache.get_many(pending.iter().map(|leaf| leaf.key));
-        let mut miss_obs: Vec<crate::embed::Observation> = Vec::new();
-        let mut miss_at: Vec<usize> = Vec::new();
-        for (i, (leaf, pred)) in pending.iter().zip(&predictions).enumerate() {
-            if pred.is_some() {
-                mapzero_obs::counter!("search.batch.cache_short_circuit");
-            } else {
-                miss_obs.push(self.observer.observe(&leaf.env).clone());
-                miss_at.push(i);
-            }
-        }
-        if !miss_obs.is_empty() {
-            // The cache lock is not held here: the forward pass hosts
-            // the `infer.predict` failpoint and is the slow step.
-            let refs: Vec<&crate::embed::Observation> = miss_obs.iter().collect();
-            let batch_preds = self.net.predict_batch(&refs);
-            self.cache.insert_many(
-                miss_at
-                    .iter()
-                    .zip(&batch_preds)
-                    .filter_map(|(&i, pred)| Some((pending[i].key?, pred))),
-            );
-            for (i, pred) in miss_at.into_iter().zip(batch_preds) {
-                predictions[i] = Some(pred);
-            }
-        }
+        let leaves: Vec<(u64, &MapEnv<'_>)> =
+            pending.iter().map(|leaf| (leaf.key, &leaf.env)).collect();
+        let predictions = self.evaluate(&leaves);
         let mut total = 0.0f64;
         for (leaf, pred) in pending.drain(..).zip(predictions) {
-            let pred = pred.expect("every pending leaf was evaluated");
             let (child, net_value) = self.expand_scored(leaf.legal, &pred);
             let &(parent, edge_idx) = leaf.path.last().expect("pending walk has a path");
             self.nodes[parent].edges[edge_idx].child = Some(child);
@@ -758,9 +638,9 @@ impl<'n> Mcts<'n> {
     }
 
     /// Back one walk up: fold the leaf value through the per-step
-    /// rewards (clamped at every level, like the scalar recursion) and
-    /// revert each edge's virtual loss while applying its real value.
-    /// Returns the root-level value of the simulation.
+    /// rewards (clamped at every level) and revert each edge's virtual
+    /// loss while applying its real value. Returns the root-level value
+    /// of the simulation.
     fn backup(&mut self, path: &[(usize, usize)], rewards: &[f64], leaf_value: f64) -> f64 {
         debug_assert_eq!(path.len(), rewards.len());
         let mut value = leaf_value;
@@ -772,33 +652,61 @@ impl<'n> Mcts<'n> {
         value
     }
 
-    /// Create a tree node for the environment state; returns the node
-    /// index and the network's value estimate.
-    fn expand(&mut self, env: &MapEnv<'_>) -> (usize, f64) {
-        if env.doomed() {
-            // An unplaced node lost its last candidate: no conflict-free
-            // completion exists, so record the failure without burning
-            // a network query or a subtree on it.
+    /// Create the root node for `env`. A doomed or dead-end root gets
+    /// an edge-less node (no network query — the masked softmax needs a
+    /// legal action), which the caller rejects.
+    fn expand_root(&mut self, env: &MapEnv<'_>) -> usize {
+        let legal = if env.doomed() {
             mapzero_obs::counter!("search.prune.dead_state");
-            mapzero_obs::counter!("mcts.expansions");
-            self.nodes.push(TreeNode { edges: Vec::new(), visits: 0 });
-            return (self.nodes.len() - 1, -1.0);
-        }
-        let legal = env.search_actions();
+            Vec::new()
+        } else {
+            env.search_actions()
+        };
         if legal.is_empty() {
             mapzero_obs::counter!("mcts.expansions");
-            // Dead end: a scheduled node has no legal PE. Record an
-            // edge-less node valued as a failure; no network query (the
-            // masked softmax needs at least one legal action).
             self.nodes.push(TreeNode { edges: Vec::new(), visits: 0 });
-            return (self.nodes.len() - 1, -1.0);
+            return self.nodes.len() - 1;
         }
-        let pred = self.predict(env);
-        self.expand_scored(legal, &pred)
+        let key = state_key(self.net_fingerprint, env);
+        let pred = self.evaluate(&[(key, env)]).pop().expect("one state, one prediction");
+        self.expand_scored(legal, &pred).0
+    }
+
+    /// The one network-evaluation path of the search: probe the
+    /// prediction cache for every `(key, state)` under one lock (hits
+    /// never occupy a batch slot), run one
+    /// [`MapZeroNet::predict_batch`] over the misses without the lock
+    /// (the forward hosts the `infer.predict` failpoint and is the slow
+    /// step), insert the fresh predictions, and return one prediction
+    /// per state in input order.
+    fn evaluate(&mut self, states: &[(u64, &MapEnv<'_>)]) -> Vec<Prediction> {
+        let mut predictions = self.cache.get_many(states.iter().map(|&(key, _)| key));
+        let mut miss_obs: Vec<crate::embed::Observation> = Vec::new();
+        let mut miss_at: Vec<usize> = Vec::new();
+        for (i, (&(_, env), pred)) in states.iter().zip(&predictions).enumerate() {
+            if pred.is_some() {
+                mapzero_obs::counter!("search.batch.cache_short_circuit");
+            } else {
+                miss_obs.push(self.observer.observe(env).clone());
+                miss_at.push(i);
+            }
+        }
+        if !miss_obs.is_empty() {
+            let refs: Vec<&crate::embed::Observation> = miss_obs.iter().collect();
+            let fresh = self.net.predict_batch(&refs);
+            self.cache.insert_many(miss_at.iter().zip(&fresh).map(|(&i, pred)| (states[i].0, pred)));
+            for (i, pred) in miss_at.into_iter().zip(fresh) {
+                predictions[i] = Some(pred);
+            }
+        }
+        predictions
+            .into_iter()
+            .map(|pred| pred.expect("every state was evaluated"))
+            .collect()
     }
 
     /// Create a tree node from an already-computed prediction; the
-    /// shared expansion kernel of the scalar and batched paths.
+    /// shared expansion kernel of the root and of flushed leaves.
     fn expand_scored(&mut self, legal: Vec<PeId>, pred: &Prediction) -> (usize, f64) {
         mapzero_obs::counter!("mcts.expansions");
         // Actions offered to this expansion (pre-cap): together with
@@ -827,29 +735,6 @@ impl<'n> Mcts<'n> {
             .collect();
         self.nodes.push(TreeNode { edges, visits: 0 });
         (self.nodes.len() - 1, f64::from(pred.value))
-    }
-
-    /// Network evaluation of the environment state, through the
-    /// transposition cache when enabled. Cache hits skip featurization
-    /// and the forward pass entirely; hits and misses are counted as
-    /// `search.predict_cache.{hit,miss}`.
-    fn predict(&mut self, env: &MapEnv<'_>) -> Prediction {
-        let net = self.net;
-        if self.config.use_reference_forward {
-            // Naive featurization too: this arm reproduces the whole
-            // pre-overhaul pipeline, not just the tape-based forward.
-            return net.predict_reference(&crate::embed::observe(env));
-        }
-        if !self.config.cache_predictions {
-            return net.predict(self.observer.observe(env));
-        }
-        let key = state_key(self.net_fingerprint, env);
-        if let Some(pred) = self.cache.get_many([Some(key)]).pop().flatten() {
-            return pred;
-        }
-        let pred = net.predict(self.observer.observe(env));
-        self.cache.insert_many([(key, &pred)]);
-        pred
     }
 
     /// Greedy playout to the end of the episode: each remaining node is
@@ -965,14 +850,6 @@ impl<'n> Mcts<'n> {
             }
         }
         best
-    }
-}
-
-fn terminal_value(env: &MapEnv<'_>) -> f64 {
-    if env.success() {
-        1.0
-    } else {
-        -1.0
     }
 }
 
@@ -1129,29 +1006,9 @@ mod tests {
         assert!(budget.exhausted());
     }
 
-    /// The transposition cache is a pure speed knob: searches with it
-    /// on and off must make identical decisions (cached predictions are
-    /// bit-identical to recomputation).
-    #[test]
-    fn cached_search_matches_uncached_search() {
-        let dfg = suite::by_name("mac").unwrap();
-        let cgra = presets::simple_mesh(4, 4);
-        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
-        let env = MapEnv::new(&problem);
-        let net = MapZeroNet::new(16, NetConfig::tiny());
-        let base = MctsConfig { playout: false, ..MctsConfig::fast_test() };
-        let mut cached = Mcts::new(&net, MctsConfig { cache_predictions: true, ..base });
-        let mut uncached = Mcts::new(&net, MctsConfig { cache_predictions: false, ..base });
-        let a = cached.search(&env);
-        let b = uncached.search(&env);
-        assert_eq!(a.best_action, b.best_action);
-        assert_eq!(a.visit_distribution, b.visit_distribution);
-        assert!((a.root_value - b.root_value).abs() < 1e-12);
-    }
-
     /// After a weight update, a search reusing the old cache must not
     /// be served a single stale prediction (the parameter fingerprint
-    /// is part of every key) and must decide exactly like an uncached
+    /// is part of every key) and must decide exactly like a cold-cache
     /// search over the updated network. Misses insert and hits do not,
     /// so "zero hits" shows as the reused cache growing by exactly the
     /// entry count of a cold-cache search (the global hit counter is
@@ -1178,19 +1035,16 @@ mod tests {
         let _ = net.train_batch(&[sample], 0.01, 5.0);
 
         let reused = Mcts::with_cache(&net, config, cache.clone()).search(&env);
-        let cold = PredictCache::new(config.cache_capacity);
-        let _ = Mcts::with_cache(&net, config, cold.clone()).search(&env);
+        let cold_cache = PredictCache::new(config.cache_capacity);
+        let cold = Mcts::with_cache(&net, config, cold_cache.clone()).search(&env);
         assert_eq!(
             cache.len() - warmed,
-            cold.len(),
+            cold_cache.len(),
             "a stale entry was served after a weight update"
         );
-
-        let uncached =
-            Mcts::new(&net, MctsConfig { cache_predictions: false, ..config }).search(&env);
-        assert_eq!(reused.best_action, uncached.best_action);
-        assert_eq!(reused.visit_distribution, uncached.visit_distribution);
-        assert_eq!(reused.root_value.to_bits(), uncached.root_value.to_bits());
+        assert_eq!(reused.best_action, cold.best_action);
+        assert_eq!(reused.visit_distribution, cold.visit_distribution);
+        assert_eq!(reused.root_value.to_bits(), cold.root_value.to_bits());
     }
 
     /// Clones of a cache are one cache: a search through one handle
@@ -1221,7 +1075,7 @@ mod tests {
         cache.insert_many((0..100u64).map(|k| (k, &pred)));
         assert!(cache.len() <= 8, "cache grew to {}", cache.len());
         // Most-recent entries stay resident.
-        assert!(cache.get_many([Some(99)])[0].is_some());
+        assert!(cache.get_many([99])[0].is_some());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! [`crate::Graph`] records every op so it can differentiate; at search
-//! time MapZero only needs values, yet each `predict` used to pay for a
+//! time MapZero only needs values, yet every tape forward pays for a
 //! fresh tape (one value *and* one zeroed gradient matrix per op, plus
 //! cloned parameter leaves). [`InferCtx`] replaces the tape with a bump
 //! arena of [`Matrix`] slots that are reshaped in place and reused
@@ -417,30 +417,6 @@ pub fn log_softmax_masked_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>
     );
 }
 
-/// SIMD variant of [`log_softmax_masked_into`]: the masked max runs
-/// through the order-insensitive [`crate::simd::max_masked`] reduction
-/// (bit-exact) and the normalizer through the fused-order
-/// [`crate::simd::sum_exp_masked`] reduction, which reassociates the
-/// sum. Results therefore match the scalar form only within the kernel
-/// tolerance contract (≤1e-5); masked entries are still exactly
-/// `NEG_INF`. Used by the K>1 batched forward, whose contract is
-/// tolerance- rather than bit-governed; honors `MAPZERO_SIMD=scalar`,
-/// under which it degrades to the scalar form exactly.
-///
-/// # Panics
-/// Same contract as [`log_softmax_masked_into`].
-pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>) {
-    assert_eq!(mask.len(), logits.len(), "one mask bit per logit");
-    assert!(mask.iter().any(|&m| m), "at least one action must be legal");
-    let max = crate::simd::max_masked(logits, mask);
-    let sum = crate::simd::sum_exp_masked(logits, mask, max);
-    let lse = max + sum.ln();
-    out.clear();
-    out.extend(
-        logits.iter().zip(mask).map(|(&v, &m)| if m { v - lse } else { NEG_INF }),
-    );
-}
-
 /// Precomputed message routing for one graph: the `(src, dst)` index
 /// columns with self-loops appended — exactly what
 /// [`crate::GatLayer::forward`] rebuilds on every tape pass — plus the
@@ -691,23 +667,6 @@ mod tests {
         assert_eq!(one.src(), single.src());
         assert_eq!(one.dst(), single.dst());
         assert_eq!(one.inv_deg(), single.inv_deg());
-    }
-
-    #[test]
-    fn fused_log_softmax_stays_within_tolerance_of_scalar() {
-        let logits = test_matrix(1, 21, 2.3);
-        let mask: Vec<bool> = (0..21).map(|i| i % 4 != 1).collect();
-        let mut scalar = Vec::new();
-        log_softmax_masked_into(logits.row_slice(0), &mask, &mut scalar);
-        let mut fused = Vec::new();
-        log_softmax_masked_fused_into(logits.row_slice(0), &mask, &mut fused);
-        for ((s, f), &m) in scalar.iter().zip(&fused).zip(&mask) {
-            if m {
-                assert!((s - f).abs() <= 1e-5, "unmasked entry drifted: {s} vs {f}");
-            } else {
-                assert_eq!(*f, NEG_INF, "masked entries must stay pinned");
-            }
-        }
     }
 
     #[test]

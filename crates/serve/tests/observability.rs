@@ -120,7 +120,11 @@ fn killed_worker_request_keeps_exactly_one_flight_record_and_trace_tree() {
     let _g = serial();
     let sink = Arc::new(MemorySink::new());
     install_sink(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
-    let service = MapService::start(ServeConfig::fast_test());
+    // One worker makes the victim the first request to reach the
+    // failpoint: it is submitted first and wins the equal-pass tie
+    // (`acme` < `beta`). With two workers the `clean` request could
+    // reach it first and take the death instead.
+    let service = MapService::start(ServeConfig { workers: 1, ..ServeConfig::fast_test() });
     // Fires on exactly one worker visit; the retry runs clean.
     failpoint::arm_global("serve.worker.pre_map", 1, FailAction::Panic);
     let responses = service

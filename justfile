@@ -40,10 +40,6 @@ bench-serve:
 serve-status:
     scripts/serve_status.sh
 
-# Criterion microbenchmarks.
-bench:
-    cargo bench --workspace
-
 # Inference hot-path bench: predictions/sec (tape vs tape-free) and
 # end-to-end compile time, written to results/BENCH_hotpath.json.
 bench-hotpath:

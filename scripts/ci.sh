@@ -55,7 +55,6 @@ if missing:
     sys.exit(f"perf smoke: BENCH_hotpath.json missing fields {missing}")
 counters = fresh["metrics"]["counters"]
 for c in ("search.predict_cache.hit", "search.predict_cache.miss",
-          "nn.dfg_embed.hit", "nn.dfg_embed.miss",
           "search.batch.flush", "search.batch.partial",
           "search.batch.cache_short_circuit",
           "search.prune.candidate_rebuild", "search.prune.masked_actions",
@@ -69,16 +68,16 @@ if fresh["metrics"]["counters"]["search.prune.candidate_rebuild"] == 0:
     sys.exit("perf smoke: no candidate map was ever built (pruning inert?)")
 
 # Batch-scaling gate: one leaf batch of 8 must not be slower than
-# one-at-a-time prediction. Both rates come from the same interleaved
-# sweep (median of per-pair ratios), so this holds with a wide margin
-# unless batching itself regressed.
-rate = {int(row["batch"]): row["predictions_per_sec"]
-        for row in fresh["batch_scaling"]}
-if not {1, 8} <= set(rate):
-    sys.exit(f"perf smoke: batch_scaling missing K=1/K=8 rows, got {sorted(rate)}")
-if rate[8] < rate[1]:
-    sys.exit(f"perf smoke: batch-8 throughput {rate[8]:.0f}/s below "
-             f"batch-1 {rate[1]:.0f}/s")
+# one-at-a-time prediction. Both speedups are medians of per-round
+# ratios against the scalar arm of the same interleaved rounds, so
+# machine drift cancels; this holds unless batching itself regressed.
+speedup = {int(row["batch"]): row["speedup_vs_scalar"]
+           for row in fresh["batch_scaling"]}
+if not {1, 8} <= set(speedup):
+    sys.exit(f"perf smoke: batch_scaling missing K=1/K=8 rows, got {sorted(speedup)}")
+if speedup[8] < speedup[1]:
+    sys.exit(f"perf smoke: batch-8 speedup {speedup[8]:.2f}x below "
+             f"batch-1 {speedup[1]:.2f}x (vs the interleaved scalar arm)")
 
 # Regression check vs the committed baseline: warn (non-fatal) when the
 # fresh run is more than 2x slower — CI machines vary, so this is a

@@ -40,7 +40,7 @@ fn trained_weights_survive_checkpoint_round_trip() {
     let problem = Problem::new(&dfg, &cgra, 1).unwrap();
     let env = mapzero::core::MapEnv::new(&problem);
     let obs = mapzero::core::embed::observe(&env);
-    assert_eq!(net.predict(&obs), restored.predict(&obs));
+    assert_eq!(net.predict_batch(&[&obs]), restored.predict_batch(&[&obs]));
 }
 
 #[test]
