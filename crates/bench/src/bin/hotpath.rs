@@ -16,6 +16,9 @@
 //!    the round's scalar sample, which cancels slow frequency/thermal
 //!    drift that a sequential A-then-B layout folds into the
 //!    comparison.
+//!    A second sweep measures K=1 and K=8 with `NetConfig::tiny()` on
+//!    the 64-PE MorphoSys fabric — the network shape of the repository
+//!    benchmark's quick-mode compiles (`tiny_net_64pe`).
 //! 3. **End-to-end compile time** — the Fig. 11 MapZero configuration on
 //!    a workload kernel, one leaf per sweep (`leaf_batch = 1`) vs the
 //!    default leaf batch.
@@ -29,7 +32,7 @@
 //! flag throughput regressions against the committed baseline.
 
 use mapzero_bench::{BenchMode, Harness};
-use mapzero_core::embed::observe;
+use mapzero_core::embed::{observe, Observation};
 use mapzero_core::network::{MapZeroNet, NetConfig};
 use mapzero_core::{Compiler, MapEnv, Problem};
 use mapzero_obs::json::Json;
@@ -52,6 +55,35 @@ fn throughput(budget: Duration, mut f: impl FnMut()) -> f64 {
         calls += 1;
     }
     calls as f64 / started.elapsed().as_secs_f64()
+}
+
+/// Up to 16 distinct states of one episode (first legal action each
+/// step) — the MCTS leaf workload: real leaves all differ in placement.
+fn episode_states(problem: &Problem<'_>) -> Vec<Observation> {
+    let mut states = Vec::new();
+    let mut walk = MapEnv::new(problem);
+    while states.len() < 16 && !walk.done() {
+        let legal = walk.legal_actions();
+        if legal.is_empty() {
+            break;
+        }
+        states.push(observe(&walk));
+        walk.step(legal[0]);
+    }
+    assert!(!states.is_empty(), "the episode yields at least one state");
+    states
+}
+
+/// Per batch width `k`, eight pre-built `k`-chunks cycling `obs`.
+fn cycling_chunks<'a>(obs: &[&'a Observation], widths: &[usize]) -> Vec<Vec<Vec<&'a Observation>>> {
+    widths
+        .iter()
+        .map(|&k| {
+            (0..8)
+                .map(|c| (0..k).map(|j| obs[(c * k + j) % obs.len()]).collect())
+                .collect()
+        })
+        .collect()
 }
 
 fn main() {
@@ -100,32 +132,12 @@ fn main() {
     // is the search's configuration — SIMD kernels (`SimdKind::Lanes8`)
     // plus `predict_batch` over K leaves. Kernel kinds are switched per
     // arm via `simd::force_kind`, then restored.
-    let mut states = Vec::new();
-    {
-        let mut walk = MapEnv::new(&problem);
-        while states.len() < 16 && !walk.done() {
-            let legal = walk.legal_actions();
-            if legal.is_empty() {
-                break;
-            }
-            states.push(observe(&walk));
-            walk.step(legal[0]);
-        }
-    }
-    assert!(!states.is_empty(), "conv3 episode yields at least one state");
-    let leaf_obs: Vec<&mapzero_core::embed::Observation> = states.iter().collect();
+    let states = episode_states(&problem);
+    let leaf_obs: Vec<&Observation> = states.iter().collect();
     let default_kind = mapzero_nn::simd::kind();
     let slice = budget / 16;
     let batch_sizes = [1usize, 4, 8, 16];
-    // Pre-built K-chunks cycling the episode states, per batch size.
-    let chunks: Vec<Vec<Vec<&mapzero_core::embed::Observation>>> = batch_sizes
-        .iter()
-        .map(|&k| {
-            (0..8)
-                .map(|c| (0..k).map(|j| leaf_obs[(c * k + j) % leaf_obs.len()]).collect())
-                .collect()
-        })
-        .collect();
+    let chunks = cycling_chunks(&leaf_obs, &batch_sizes);
     // Arm 0 is the scalar baseline, arm i > 0 batch size
     // `batch_sizes[i - 1]`. Every round runs all arms back to back, so
     // each K's ratio and the K=1 ratio share the round's scalar sample
@@ -185,6 +197,60 @@ fn main() {
     }
     h.field("batch_scaling", Json::Arr(scaling));
     h.field("batch8_speedup", Json::Num(batch8_speedup));
+
+    // --- 2b. The benchmark's network shape: 64 PEs, tiny net ---------
+    // The quick-mode compiles of the repository benchmark run
+    // `NetConfig::tiny()` on 64-PE fabrics (MorphoSys, ADRES), where the
+    // CGRA encoder's per-message attention work, not FLOPs, dominates a
+    // forward. Same interleaved layout: every round runs K=1 and K=8
+    // back to back in alternating order under the default kernels.
+    let tiny_cgra = mapzero_arch::presets::morphosys();
+    let tiny_mii = Problem::mii(&dfg, &tiny_cgra).expect("mappable");
+    let tiny_problem = Problem::new(&dfg, &tiny_cgra, tiny_mii).expect("schedulable");
+    let tiny_net = MapZeroNet::new(tiny_cgra.pe_count(), NetConfig::tiny());
+    let tiny_states = episode_states(&tiny_problem);
+    let tiny_obs: Vec<&Observation> = tiny_states.iter().collect();
+    let tiny_widths = [1usize, 8];
+    let tiny_chunks = cycling_chunks(&tiny_obs, &tiny_widths);
+    let mut tiny_rates = vec![Vec::new(); tiny_widths.len()];
+    for round in 0..rounds {
+        h.progress(format!(
+            "measuring tiny net on {} at K={tiny_widths:?} (round {}/{rounds})",
+            tiny_cgra.name(),
+            round + 1
+        ));
+        for step in 0..tiny_widths.len() {
+            let arm = (round + step) % tiny_widths.len();
+            let arm_chunks = &tiny_chunks[arm];
+            let mut chunk = round;
+            let rate = throughput(slice, || {
+                std::hint::black_box(tiny_net.predict_batch(&arm_chunks[chunk % arm_chunks.len()]));
+                chunk += 1;
+            }) * tiny_widths[arm] as f64;
+            tiny_rates[arm].push(rate);
+        }
+    }
+    let mut tiny_rows = Vec::new();
+    for (&k, rates) in tiny_widths.iter().zip(&mut tiny_rates) {
+        let rate = median(rates);
+        h.note(format!(
+            "tiny net on {}: batch {k}: {rate:.0} predictions/sec ({:.1} us/row)",
+            tiny_cgra.name(),
+            1e6 / rate.max(f64::MIN_POSITIVE)
+        ));
+        tiny_rows.push(Json::obj(vec![
+            ("batch", Json::Num(k as f64)),
+            ("predictions_per_sec", Json::Num(rate)),
+        ]));
+    }
+    h.field(
+        "tiny_net_64pe",
+        Json::obj(vec![
+            ("fabric", Json::from(tiny_cgra.name())),
+            ("kernel", Json::from("conv3")),
+            ("batch_scaling", Json::Arr(tiny_rows)),
+        ]),
+    );
 
     // --- 3. End-to-end compile time (Fig. 11 workload) ---------------
     // Network-guided search (no playout early exit — the same search

@@ -12,7 +12,7 @@ use crate::mapping::{Mapping, Placement};
 use crate::problem::Problem;
 use crate::router::{route_edge, Route};
 use mapzero_arch::PeId;
-use mapzero_dfg::{NodeId, OpClass};
+use mapzero_dfg::{NodeId, OpClass, Opcode};
 
 /// Penalty per routing conflict (§4.4: "each node placement causing a
 /// routing conflict introduces a penalty of −100").
@@ -156,23 +156,21 @@ impl<'a> MapEnv<'a> {
         };
         let op = self.problem.dfg().node(u).opcode;
         let slot = self.problem.schedule().modulo_slot(u);
-        cgra.pe_ids()
-            .map(|p| {
-                if !cgra.pe(p).capability.supports(op) {
-                    return false;
-                }
-                if self.ledger.fu(p, slot).is_some() {
-                    return false;
-                }
-                if cgra.row_shared_mem_bus()
-                    && op.class() == OpClass::Memory
-                    && self.ledger.membus(cgra.pe(p).row, slot).is_some()
-                {
-                    return false;
-                }
-                true
-            })
-            .collect()
+        cgra.pe_ids().map(|p| self.is_legal(op, slot, p)).collect()
+    }
+
+    /// Whether an `op` node may be placed on `pe` in modulo slot
+    /// `slot`: the PE supports the opcode, its FU is free in that slot
+    /// and, on row-bus fabrics, a memory op finds its row's bus free.
+    /// The one predicate behind [`MapEnv::action_mask`] and
+    /// [`MapEnv::step`]'s check.
+    fn is_legal(&self, op: Opcode, slot: u32, pe: PeId) -> bool {
+        let cgra = self.problem.cgra();
+        cgra.pe(pe).capability.supports(op)
+            && self.ledger.fu(pe, slot).is_none()
+            && !(cgra.row_shared_mem_bus()
+                && op.class() == OpClass::Memory
+                && self.ledger.membus(cgra.pe(pe).row, slot).is_some())
     }
 
     /// Legal actions as PE ids.
@@ -242,19 +240,17 @@ impl<'a> MapEnv<'a> {
     /// respect [`MapEnv::action_mask`]).
     pub fn step(&mut self, pe: PeId) -> StepOutcome {
         let u = self.current_node().expect("episode not done");
-        assert!(
-            self.action_mask()[pe.index()],
-            "action {pe} is masked for node {u}"
-        );
         let dfg = self.problem.dfg();
         let cgra = self.problem.cgra();
         let schedule = self.problem.schedule();
         let time = schedule.time(u);
         let slot = schedule.modulo_slot(u);
+        let op = dfg.node(u).opcode;
+        assert!(self.is_legal(op, slot, pe), "action {pe} is masked for node {u}");
 
         let checkpoint = self.ledger.checkpoint();
         assert!(self.ledger.claim_fu(pe, slot, u), "mask guaranteed a free FU");
-        if cgra.row_shared_mem_bus() && dfg.node(u).opcode.class() == OpClass::Memory {
+        if cgra.row_shared_mem_bus() && op.class() == OpClass::Memory {
             assert!(
                 self.ledger.claim_membus(cgra.pe(pe).row, slot, u),
                 "mask guaranteed a free bus"
@@ -353,7 +349,7 @@ impl<'a> MapEnv<'a> {
 mod tests {
     use super::*;
     use mapzero_arch::presets;
-    use mapzero_dfg::{DfgBuilder, Opcode};
+    use mapzero_dfg::DfgBuilder;
 
     fn chain3() -> mapzero_dfg::Dfg {
         let mut b = DfgBuilder::new("chain3");
@@ -472,6 +468,26 @@ mod tests {
         env.step(PeId(2));
         let occ = env.current_slice_occupancy();
         assert_eq!(occ[2], Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "action pe1 is masked for node n1")]
+    fn stepping_onto_a_busy_row_bus_panics_with_the_mask_message() {
+        // ADRES: the second load's row-0 bus slot is taken by the first,
+        // though pe1's FU is free.
+        let mut b = DfgBuilder::new("loads");
+        let l0 = b.node(Opcode::Load);
+        let l1 = b.node(Opcode::Load);
+        let a = b.node(Opcode::Add);
+        b.edge(l0, a).unwrap();
+        b.edge(l1, a).unwrap();
+        let dfg = b.finish().unwrap();
+        let cgra = presets::adres();
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let mut env = MapEnv::new(&problem);
+        env.step(cgra.at(0, 0));
+        assert_eq!(cgra.at(0, 1), PeId(1));
+        env.step(PeId(1));
     }
 
     #[test]

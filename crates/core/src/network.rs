@@ -186,7 +186,11 @@ pub struct LossBreakdown {
 }
 
 /// Per-thread scratch for the tape-free forward path: the bump-arena
-/// workspace and the two message indices (rebuilt in place per batch).
+/// workspace and the two message indices, which
+/// [`MessageIndex::rebuild_tiled`] rebuilds only when the edge list,
+/// node count or batch width changes — a search evaluates one problem's
+/// states over and over, so the indices are built once per problem and
+/// batch width.
 /// Thread-local so [`MapZeroNet::predict_batch`] keeps its `&self`
 /// signature and the net stays shareable across self-play worker
 /// threads.
@@ -348,8 +352,8 @@ impl MapZeroNet {
     /// Every row is **bit-identical** to
     /// [`MapZeroNet::predict_reference`] on that observation, at every
     /// K and under either [`mapzero_nn::simd::SimdKind`]: every op
-    /// (matmul, scatter-add, segment softmax, grouped mean, the
-    /// sequential masked log-softmax) preserves the per-observation
+    /// (matmul, fused attention, grouped mean, the sequential masked
+    /// log-softmax) preserves the per-observation
     /// accumulation order of the single-graph tape pass, so batch
     /// composition never affects a result.
     ///

@@ -264,7 +264,7 @@ impl Graph {
         let mut sum = vec![0.0f32; nseg];
         let mut exps: Vec<f32> =
             seg.iter().enumerate().map(|(i, &s)| va[(i, 0)] - max[s]).collect();
-        // Same dispatched exp kernel as `InferCtx::segment_softmax`, so
+        // Same dispatched exp kernel as `InferCtx::gat_attention`, so
         // tape and tape-free softmax stay bit-identical per kind.
         crate::simd::exp_neg_map(&mut exps);
         for (&e, &s) in exps.iter().zip(seg) {

@@ -32,10 +32,8 @@ pub struct BufId(usize);
 pub struct InferCtx {
     slots: Vec<Matrix>,
     used: usize,
-    seg_max: Vec<f32>,
-    seg_sum: Vec<f32>,
-    seg_exp: Vec<f32>,
-    edge_scratch: Vec<f32>,
+    /// Per-message attention weights of [`InferCtx::gat_attention`].
+    attn: Vec<f32>,
 }
 
 impl InferCtx {
@@ -125,12 +123,6 @@ impl InferCtx {
         out
     }
 
-    /// `a += b` element-wise, in place.
-    pub fn add_assign(&mut self, a: BufId, b: BufId) {
-        let (av, bv) = self.pair_mut(a, b);
-        av.add_assign(bv);
-    }
-
     /// Broadcast-add a `1 x c` bias onto every row of `x`, in place.
     ///
     /// # Panics
@@ -157,11 +149,6 @@ impl InferCtx {
         crate::simd::tanh_map(self.slots[x.0].data_mut());
     }
 
-    /// Leaky ReLU in place.
-    pub fn leaky_relu(&mut self, x: BufId, slope: f32) {
-        self.slots[x.0].map_assign(|v| if v >= 0.0 { v } else { slope * v });
-    }
-
     /// `out[i] = a[idx[i]]` into a fresh slot.
     ///
     /// # Panics
@@ -171,15 +158,6 @@ impl InferCtx {
         let cols = self.slots[a.0].cols();
         let out = self.alloc(idx.len(), cols);
         let (o, av) = self.pair_mut(out, a);
-        if cols == 1 {
-            // Column gather (the attention-score broadcast): plain
-            // indexed loads instead of one `memcpy` call per element.
-            let src = av.data();
-            for (v, &i) in o.data_mut().iter_mut().zip(idx) {
-                *v = src[i];
-            }
-            return out;
-        }
         for (r, &i) in idx.iter().enumerate() {
             assert!(i < av.rows(), "gather index {i} out of range");
             o.row_slice_mut(r).copy_from_slice(av.row_slice(i));
@@ -205,110 +183,79 @@ impl InferCtx {
         out
     }
 
-    /// Fused attention aggregation into a fresh `rows x c` slot:
-    /// `out[dst[e]] += alpha[e] * a[src[e]]` for each edge `e` in
-    /// ascending order.
+    /// One graph-attention head's message pass (Eqs. 6–7) into a fresh
+    /// `n x d` slot, fused over the destination-grouped (CSR) view of
+    /// `index`: for every destination `u`, the scores
+    /// `e = LeakyReLU(score_dst[u] + score_src[v])` of its messages, their
+    /// softmax `α`, and the aggregate `Σ α · hw[v]`.
     ///
-    /// Bit-identical to the composed `gather_rows(a, src)` →
-    /// `col_mul(alpha, msgs)` → `scatter_add_rows(msgs, dst, rows)` —
-    /// the same per-element product, the same destination accumulation
-    /// order — without materializing the `E x c` message matrix. The
-    /// composed form costs two extra full passes of `E x c` memory
-    /// traffic plus a `memcpy` per edge, which profiling puts among the
-    /// top costs of the batched forward.
+    /// Bit-identical to the tape chain of [`crate::GatLayer::forward`]
+    /// (gather → add → leaky ReLU → segment softmax → gather → col_mul →
+    /// scatter-add) by construction, not within a tolerance: each
+    /// element sees the same operations, and each destination folds its
+    /// messages (max, sum, aggregate) in the same order, because the CSR
+    /// view keeps every destination's messages in their original
+    /// order. The exponentials run through the same
+    /// [`crate::simd::exp_neg_map`] over one flat buffer. What the
+    /// fusion removes is the `E x 1` and `E x d` intermediates and the
+    /// scattered read-modify-writes of the source-major message order;
+    /// each aggregate row accumulates in registers and is stored once.
     ///
     /// # Panics
-    /// Panics unless `alpha` is an `E x 1` column with one weight per
-    /// `src`/`dst` pair and every index is in range.
-    pub fn scatter_weighted_rows(
+    /// Panics unless `hw` has `index.n()` rows and the scores are
+    /// matching columns.
+    pub fn gat_attention(
         &mut self,
-        alpha: BufId,
-        a: BufId,
-        src: &[usize],
-        dst: &[usize],
-        rows: usize,
+        hw: BufId,
+        score_dst: BufId,
+        score_src: BufId,
+        index: &MessageIndex,
+        negative_slope: f32,
     ) -> BufId {
-        assert_eq!(src.len(), dst.len(), "one (src, dst) pair per edge");
-        {
-            let av = &self.slots[alpha.0];
-            assert_eq!(av.cols(), 1, "alpha must be a column");
-            assert_eq!(av.rows(), src.len(), "one weight per edge");
-        }
-        // Stash the weights so `out` and `a` can be split-borrowed.
-        let mut weights = std::mem::take(&mut self.edge_scratch);
-        weights.clear();
-        weights.extend_from_slice(self.slots[alpha.0].data());
-        let cols = self.slots[a.0].cols();
-        let in_rows = self.slots[a.0].rows();
-        let out = self.alloc(rows, cols);
-        let (o, av) = self.pair_mut(out, a);
-        // Each edge is one axpy row update (`out_row += w · src_row`) —
-        // the same product-then-add per element as the composed ops.
-        match crate::simd::kind() {
-            crate::simd::SimdKind::Scalar => {
-                for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
-                    assert!(s < in_rows, "gather index {s} out of range");
-                    assert!(d < rows, "scatter index {d} out of range");
-                    crate::simd::axpy_scalar(o.row_slice_mut(d), weights[e], av.row_slice(s));
-                }
+        let n = index.n();
+        let (start, src) = (index.csr_start(), index.csr_src());
+        let (sd, ss) = (self.slots[score_dst.0].data(), self.slots[score_src.0].data());
+        assert!(sd.len() == n && ss.len() == n, "one score per node");
+        assert_eq!(self.slots[hw.0].rows(), n, "hw must have one row per node");
+        // Pass 1: scores, leaky ReLU and the per-destination max, then
+        // the max shift (`Graph::segment_softmax`'s numerator input).
+        let mut w = std::mem::take(&mut self.attn);
+        w.clear();
+        w.resize(src.len(), 0.0);
+        for u in 0..n {
+            let msgs = start[u]..start[u + 1];
+            let mut max = f32::NEG_INFINITY;
+            for (e, &v) in w[msgs.clone()].iter_mut().zip(&src[msgs.clone()]) {
+                let x = sd[u] + ss[v];
+                *e = if x >= 0.0 { x } else { negative_slope * x };
+                max = max.max(*e);
             }
-            crate::simd::SimdKind::Lanes8 => {
-                // Whole loop in `simd` so it gets one AVX2 dispatch per
-                // call; out-of-range indices panic on the slice bounds.
-                crate::simd::scatter_axpy_lanes8(o.data_mut(), cols, av.data(), &weights, src, dst);
+            for e in &mut w[msgs] {
+                *e -= max;
             }
         }
-        self.edge_scratch = weights;
+        // Pass 2: the numerators, through the dispatched exp kernel.
+        crate::simd::exp_neg_map(&mut w);
+        // Pass 3: per destination, the sequential sum, then each weight
+        // and its `α · hw[v]` product added in message order.
+        let d = self.slots[hw.0].cols();
+        let out = self.alloc(n, d);
+        let (o, h) = self.pair_mut(out, hw);
+        let (o, h) = (o.data_mut(), h.data());
+        for u in 0..n {
+            let msgs = start[u]..start[u + 1];
+            let (w, src) = (&w[msgs.clone()], &src[msgs]);
+            let out_row = &mut o[u * d..(u + 1) * d];
+            // Register arrays for the head widths of the tiny (4) and
+            // default (16) network configurations.
+            match d {
+                4 => aggregate_row::<4>(out_row, w, src, h),
+                16 => aggregate_row::<16>(out_row, w, src, h),
+                _ => aggregate_row_dyn(out_row, w, src, h),
+            }
+        }
+        self.attn = w;
         out
-    }
-
-    /// Per-segment softmax over an `E x 1` column, in place; same
-    /// numerics as [`crate::Graph::segment_softmax`].
-    ///
-    /// # Panics
-    /// Panics if `a` is not a column or `seg.len() != a.rows()`.
-    pub fn segment_softmax(&mut self, a: BufId, seg: &[usize]) {
-        let va = &self.slots[a.0];
-        assert_eq!(va.cols(), 1, "segment softmax expects a column");
-        assert_eq!(seg.len(), va.rows(), "one segment id per row");
-        let nseg = seg.iter().copied().max().map_or(0, |m| m + 1);
-        self.seg_max.clear();
-        self.seg_max.resize(nseg, f32::NEG_INFINITY);
-        for (i, &s) in seg.iter().enumerate() {
-            self.seg_max[s] = self.seg_max[s].max(va[(i, 0)]);
-        }
-        self.seg_sum.clear();
-        self.seg_sum.resize(nseg, 0.0);
-        self.seg_exp.clear();
-        self.seg_exp.extend(seg.iter().enumerate().map(|(i, &s)| va[(i, 0)] - self.seg_max[s]));
-        // Shifted numerators through the dispatched exp kernel (the
-        // tape path routes through the same one, keeping the softmaxes
-        // bit-identical per kind); per-segment sums stay sequential.
-        crate::simd::exp_neg_map(&mut self.seg_exp);
-        for (&e, &s) in self.seg_exp.iter().zip(seg) {
-            self.seg_sum[s] += e;
-        }
-        let va = &mut self.slots[a.0];
-        for (i, &s) in seg.iter().enumerate() {
-            va[(i, 0)] = self.seg_exp[i] / self.seg_sum[s].max(f32::MIN_POSITIVE);
-        }
-    }
-
-    /// Multiply every row of `x` by the matching entry of the `r x 1`
-    /// column slot, in place on `x`.
-    ///
-    /// # Panics
-    /// Panics unless `col` is a column of `x`'s height.
-    pub fn col_mul(&mut self, col: BufId, x: BufId) {
-        let (xv, cv) = self.pair_mut(x, col);
-        assert_eq!(cv.cols(), 1, "col must be a column vector");
-        assert_eq!(cv.rows(), xv.rows(), "column length mismatch");
-        for r in 0..xv.rows() {
-            let k = cv[(r, 0)];
-            for v in xv.row_slice_mut(r) {
-                *v *= k;
-            }
-        }
     }
 
     /// Multiply every row of `x` by the matching external scale, in
@@ -388,6 +335,47 @@ impl InferCtx {
     }
 }
 
+/// Softmax denominator of one destination's exponentiated scores:
+/// the sequential sum, floored like `Graph::segment_softmax`.
+#[inline(always)]
+fn softmax_denominator(w: &[f32]) -> f32 {
+    let mut sum = 0.0f32;
+    for &e in w {
+        sum += e;
+    }
+    sum.max(f32::MIN_POSITIVE)
+}
+
+/// `out = Σ_j (w[j] / denom) · h[src[j]]` over a width-`D` row held in
+/// a register array — per element the tape's `col_mul` product then
+/// its scatter-add, in message order.
+#[inline(always)]
+fn aggregate_row<const D: usize>(out: &mut [f32], w: &[f32], src: &[usize], h: &[f32]) {
+    let denom = softmax_denominator(w);
+    let mut acc = [0.0f32; D];
+    for (&e, &v) in w.iter().zip(src) {
+        let alpha = e / denom;
+        let row = &h[v * D..(v + 1) * D];
+        for j in 0..D {
+            acc[j] += alpha * row[j];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// [`aggregate_row`] for widths without a register specialization,
+/// accumulating in the (zeroed) output row.
+fn aggregate_row_dyn(out: &mut [f32], w: &[f32], src: &[usize], h: &[f32]) {
+    let denom = softmax_denominator(w);
+    let d = out.len();
+    for (&e, &v) in w.iter().zip(src) {
+        let alpha = e / denom;
+        for (o, &x) in out.iter_mut().zip(&h[v * d..(v + 1) * d]) {
+            *o += alpha * x;
+        }
+    }
+}
+
 /// Masked log-softmax over one row of logits, written into a
 /// caller-provided buffer; same numerics (and the same `NEG_INF`
 /// stand-in for masked entries) as [`crate::Graph::log_softmax_masked`].
@@ -419,15 +407,25 @@ pub fn log_softmax_masked_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>
 
 /// Precomputed message routing for one graph: the `(src, dst)` index
 /// columns with self-loops appended — exactly what
-/// [`crate::GatLayer::forward`] rebuilds on every tape pass — plus the
-/// inverse in-degrees [`crate::GcnLayer`] normalizes by. Rebuilt in
-/// place so the per-problem index vectors are allocated once.
+/// [`crate::GatLayer::forward`] rebuilds on every tape pass — their
+/// destination-grouped (CSR) view for [`InferCtx::gat_attention`], and
+/// the inverse in-degrees [`crate::GcnLayer`] normalizes by. Rebuilt in
+/// place, and only when the graph changes, so a search that evaluates
+/// one problem's states over and over builds it once.
 #[derive(Debug, Default, Clone)]
 pub struct MessageIndex {
     src: Vec<usize>,
     dst: Vec<usize>,
     inv_deg: Vec<f32>,
     n: usize,
+    /// Messages into node `u` are `csr_src[csr_start[u]..csr_start[u + 1]]`
+    /// (their sources), in their order in `src`/`dst`.
+    csr_start: Vec<usize>,
+    csr_src: Vec<usize>,
+    /// The `(edges, n, copies)` this index was last built for.
+    built_edges: Vec<(usize, usize)>,
+    built_n: usize,
+    built_copies: usize,
 }
 
 impl MessageIndex {
@@ -437,47 +435,37 @@ impl MessageIndex {
         MessageIndex::default()
     }
 
-    /// Populate for `n` nodes and the given `(src, dst)` edge list,
-    /// reusing existing storage.
+    /// Populate for `n` nodes and the given `(src, dst)` edge list;
+    /// `rebuild_tiled(edges, n, 1)`.
     pub fn rebuild(&mut self, edges: &[(usize, usize)], n: usize) {
-        self.n = n;
-        self.src.clear();
-        self.dst.clear();
-        for &(s, d) in edges {
-            self.src.push(s);
-            self.dst.push(d);
-        }
-        for u in 0..n {
-            self.src.push(u);
-            self.dst.push(u);
-        }
-        self.inv_deg.clear();
-        self.inv_deg.resize(n, 0.0);
-        for &d in &self.dst {
-            self.inv_deg[d] += 1.0;
-        }
-        for v in &mut self.inv_deg {
-            *v = 1.0 / v.max(1.0);
-        }
+        self.rebuild_tiled(edges, n, 1);
     }
 
     /// Populate for `copies` disjoint copies of the same `n`-node
     /// graph, stacked row-wise — the routing table of the batched
     /// forward pass: copy `k`'s nodes live at rows `k*n..(k+1)*n` and
-    /// its edges are offset to match.
+    /// its edges are offset to match. A no-op when the index is already
+    /// built for these `(edges, n, copies)`.
     ///
     /// Ordering matters for bit-equivalence: all tiled edges come
     /// first, then all self-loops, so within any one copy each
     /// destination sees its messages (edges, then its self-loop) in
-    /// exactly the order [`MessageIndex::rebuild`] produces for the
-    /// single graph. Scatter-adds and segment softmaxes over this index
-    /// are therefore bit-identical per copy to the unbatched pass.
-    /// `rebuild_tiled(edges, n, 1)` is exactly `rebuild(edges, n)`.
+    /// exactly the order the single graph's index has. The CSR view is
+    /// a stable counting sort on destination, so it keeps that order
+    /// too. Scatter-adds and attention passes over this index are
+    /// therefore bit-identical per copy to the unbatched pass.
     ///
     /// # Panics
-    /// Panics if `copies == 0`.
+    /// Panics if `copies == 0` or an edge endpoint is not below `n`.
     pub fn rebuild_tiled(&mut self, edges: &[(usize, usize)], n: usize, copies: usize) {
         assert!(copies > 0, "need at least one copy");
+        if self.built_copies == copies && self.built_n == n && self.built_edges == edges {
+            return;
+        }
+        assert!(edges.iter().all(|&(s, d)| s < n && d < n), "edge endpoint out of range");
+        // Forget the old key first, so an unwind mid-rebuild can never
+        // leave a half-built index that still claims to match.
+        self.built_copies = 0;
         self.n = n * copies;
         self.src.clear();
         self.dst.clear();
@@ -492,14 +480,30 @@ impl MessageIndex {
             self.src.push(u);
             self.dst.push(u);
         }
-        self.inv_deg.clear();
-        self.inv_deg.resize(self.n, 0.0);
+        // Stable counting sort on destination.
+        self.csr_start.clear();
+        self.csr_start.resize(self.n + 1, 0);
         for &d in &self.dst {
-            self.inv_deg[d] += 1.0;
+            self.csr_start[d + 1] += 1;
         }
-        for v in &mut self.inv_deg {
-            *v = 1.0 / v.max(1.0);
+        for u in 0..self.n {
+            self.csr_start[u + 1] += self.csr_start[u];
         }
+        let mut next = self.csr_start[..self.n].to_vec();
+        self.csr_src.clear();
+        self.csr_src.resize(self.src.len(), 0);
+        for (&s, &d) in self.src.iter().zip(&self.dst) {
+            self.csr_src[next[d]] = s;
+            next[d] += 1;
+        }
+        self.inv_deg.clear();
+        self.inv_deg.extend(
+            self.csr_start.windows(2).map(|w| 1.0 / ((w[1] - w[0]) as f32).max(1.0)),
+        );
+        self.built_edges.clear();
+        self.built_edges.extend_from_slice(edges);
+        self.built_n = n;
+        self.built_copies = copies;
     }
 
     /// Message sources (edges then self-loops).
@@ -512,6 +516,20 @@ impl MessageIndex {
     #[must_use]
     pub fn dst(&self) -> &[usize] {
         &self.dst
+    }
+
+    /// CSR row starts: node `u`'s messages are entries
+    /// `csr_start()[u]..csr_start()[u + 1]` of [`MessageIndex::csr_src`].
+    #[must_use]
+    pub fn csr_start(&self) -> &[usize] {
+        &self.csr_start
+    }
+
+    /// Message sources grouped by destination, each group in message
+    /// order.
+    #[must_use]
+    pub fn csr_src(&self) -> &[usize] {
+        &self.csr_src
     }
 
     /// Inverse in-degree (self-loop included) per node.
@@ -569,20 +587,6 @@ mod tests {
 
         assert_eq!(ctx.value(csc), g.value(gtanh));
         assert_eq!(ctx.value(cmean), g.value(gmean));
-    }
-
-    #[test]
-    fn segment_softmax_matches_graph() {
-        let col = test_matrix(6, 1, 2.1);
-        let seg = [0usize, 0, 1, 1, 1, 2];
-        let mut g = Graph::new();
-        let gc = g.input(col.clone());
-        let gsm = g.segment_softmax(gc, &seg);
-        let mut ctx = InferCtx::new();
-        ctx.begin();
-        let cc = ctx.load(&col);
-        ctx.segment_softmax(cc, &seg);
-        assert_eq!(ctx.value(cc), g.value(gsm));
     }
 
     #[test]
@@ -667,6 +671,45 @@ mod tests {
         assert_eq!(one.src(), single.src());
         assert_eq!(one.dst(), single.dst());
         assert_eq!(one.inv_deg(), single.inv_deg());
+    }
+
+    #[test]
+    fn csr_groups_messages_by_destination_in_message_order() {
+        // Duplicate edge (0, 2), a node (3) with only its self-loop.
+        let edges = [(0usize, 2usize), (1, 2), (2, 0), (0, 2)];
+        let mut idx = MessageIndex::new();
+        idx.rebuild_tiled(&edges, 4, 2);
+        for u in 0..idx.n() {
+            let expected: Vec<usize> = idx
+                .src()
+                .iter()
+                .zip(idx.dst())
+                .filter_map(|(&s, &d)| (d == u).then_some(s))
+                .collect();
+            let (a, b) = (idx.csr_start()[u], idx.csr_start()[u + 1]);
+            assert_eq!(&idx.csr_src()[a..b], expected.as_slice(), "node {u}");
+        }
+        assert_eq!(&idx.csr_src()[idx.csr_start()[6]..idx.csr_start()[7]], &[4, 5, 4, 6]);
+        assert_eq!(idx.csr_start()[8] - idx.csr_start()[7], 1, "self-loop only");
+    }
+
+    #[test]
+    fn rebuild_tracks_the_graph_it_was_built_for() {
+        let (a, b) = ([(0usize, 1usize), (1, 2)], [(2usize, 0usize)]);
+        let mut fresh = MessageIndex::new();
+        fresh.rebuild_tiled(&a, 3, 2);
+        let mut reused = MessageIndex::new();
+        for (edges, n, copies) in [(&a[..], 3, 2), (&b[..], 3, 2), (&b[..], 4, 2), (&b[..], 4, 3)] {
+            reused.rebuild_tiled(edges, n, copies);
+            let mut once = MessageIndex::new();
+            once.rebuild_tiled(edges, n, copies);
+            assert_eq!((reused.src(), reused.dst()), (once.src(), once.dst()));
+            assert_eq!((reused.csr_start(), reused.csr_src()), (once.csr_start(), once.csr_src()));
+            assert_eq!(reused.inv_deg(), once.inv_deg());
+        }
+        reused.rebuild_tiled(&a, 3, 2);
+        assert_eq!(reused.csr_src(), fresh.csr_src());
+        assert_eq!(reused.n(), 6);
     }
 
     #[test]

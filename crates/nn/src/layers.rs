@@ -190,8 +190,9 @@ impl GatLayer {
     /// Tape-free forward pass; bit-identical to [`GatLayer::forward`].
     ///
     /// `index` must have been rebuilt for the same edge list and node
-    /// count (it carries the src/dst columns with self-loops appended,
-    /// so the per-pass index allocation of the tape path disappears).
+    /// count. Each head's score gather, leaky ReLU, softmax and
+    /// aggregation run as one fused pass over the index's
+    /// destination-grouped view ([`InferCtx::gat_attention`]).
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -199,21 +200,13 @@ impl GatLayer {
         x: BufId,
         index: &MessageIndex,
     ) -> BufId {
-        let n = ctx.value(x).rows();
-        debug_assert_eq!(n, index.n(), "index built for a different graph");
+        debug_assert_eq!(ctx.value(x).rows(), index.n(), "index built for a different graph");
         let mut out: Option<BufId> = None;
         for head in &self.heads {
             let hw = ctx.matmul(x, params.value(head.weight)); // (n x d)
             let score_dst = ctx.matmul(hw, params.value(head.att_dst)); // (n x 1)
             let score_src = ctx.matmul(hw, params.value(head.att_src));
-            let e = ctx.gather_rows(score_dst, index.dst()); // (E x 1)
-            let e_src = ctx.gather_rows(score_src, index.src());
-            ctx.add_assign(e, e_src);
-            ctx.leaky_relu(e, self.negative_slope);
-            ctx.segment_softmax(e, index.dst()); // per-dst softmax
-            // Fused gather → col_mul → scatter_add (bit-identical to
-            // the composed tape ops, minus the E x d message matrix).
-            let agg = ctx.scatter_weighted_rows(e, hw, index.src(), index.dst(), n); // (n x d)
+            let agg = ctx.gat_attention(hw, score_dst, score_src, index, self.negative_slope);
             ctx.tanh(agg);
             out = Some(match out {
                 None => agg,
@@ -223,7 +216,6 @@ impl GatLayer {
         out.expect("at least one attention head")
     }
 }
-
 
 /// A graph convolution layer with mean aggregation (Kipf-Welling style,
 /// degree-normalized): `h'_u = tanh(mean_{v in N(u) ∪ {u}} W h_v)`.
@@ -450,6 +442,60 @@ mod tests {
         let cx = ctx.load(&mx);
         let cy = mlp.infer(&mut ctx, &params, cx);
         assert_eq!(ctx.value(cy), g.value(gy), "MLP infer diverged");
+    }
+
+    /// The fused attention of [`GatLayer::infer`] against the tape
+    /// chain of [`GatLayer::forward`], bit for bit, on random graphs:
+    /// duplicate edges, nodes with only their self-loop, head widths
+    /// with and without a register specialization, and K tiled copies
+    /// whose rows must each equal the single graph's forward.
+    #[test]
+    fn fused_gat_infer_matches_forward_bitwise_on_random_graphs() {
+        let mut rng = SeedRng::new(77);
+        let mut ctx = InferCtx::new();
+        let mut index = MessageIndex::new();
+        for case in 0..48 {
+            let n = 1 + rng.below(12);
+            let in_dim = 1 + rng.below(9);
+            let head_dim = [1, 3, 4, 5, 8, 16][case % 6];
+            let heads = 1 + rng.below(3);
+            let mut params = Params::new();
+            let gat = GatLayer::new(&mut params, in_dim, head_dim, heads, &mut rng);
+            // Edges among the first n - 1 nodes only, so the last node
+            // hears nothing but its self-loop; every third graph
+            // repeats an edge.
+            let mut edges: Vec<(usize, usize)> = (0..rng.below(3 * n))
+                .filter(|_| n > 1)
+                .map(|_| (rng.below(n - 1), rng.below(n - 1)))
+                .collect();
+            if case % 3 == 0 {
+                if let Some(&e) = edges.first() {
+                    edges.push(e);
+                }
+            }
+            let copies = 1 + case % 4;
+            let xs: Vec<Matrix> = (0..copies).map(|_| rng.uniform(n, in_dim, 2.0)).collect();
+
+            index.rebuild_tiled(&edges, n, copies);
+            ctx.begin();
+            let refs: Vec<&Matrix> = xs.iter().collect();
+            let cx = ctx.load_stacked(&refs);
+            let cy = gat.infer(&mut ctx, &params, cx, &index);
+            let fused = ctx.value(cy);
+            for (k, x) in xs.iter().enumerate() {
+                let mut g = Graph::new();
+                let gx = g.input(x.clone());
+                let gy = gat.forward(&mut g, &params, gx, &edges);
+                for r in 0..n {
+                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(fused.row_slice(k * n + r)),
+                        bits(g.value(gy).row_slice(r)),
+                        "case {case}: copy {k} row {r} (n={n}, d={head_dim}, edges {edges:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

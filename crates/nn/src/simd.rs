@@ -44,13 +44,25 @@
 //!
 //! On x86-64 the `Lanes8` kernels additionally dispatch (cached runtime
 //! detection of AVX2 + FMA) to `#[target_feature(enable = "avx2,fma")]`
-//! twins of the same bodies. Bodies written as `a*b + c` stay separate
+//! twins. Most twins compile the same Rust bodies for 256-bit
+//! registers. Bodies written as `a*b + c` stay separate
 //! multiply-then-add — Rust never contracts them — so their twins
 //! change throughput, never bits. Bodies written with `mul_add` (the
 //! matmul column blocks) mean fused single-rounding semantics on every
 //! path: hardware FMA inside the twins, libm `fmaf` in the non-AVX2
 //! fallback — same bits either way, the fallback is just slower (it
 //! only runs on pre-2013 x86-64 or non-x86 hosts).
+//!
+//! LLVM does not vectorize the polynomial `exp`/`tanh` bodies (the
+//! float-to-int conversion and exponent-bit construction defeat it), so
+//! their twins ([`exp_neg_map`], [`tanh_map`]) are written in explicit
+//! `__m256` intrinsics that perform the body's operations one for one:
+//! the same multiplies and adds in the same order (never fused), the
+//! same truncating conversions, and `max`/`min` with the clamp constant
+//! as the second operand — which `_mm256_max_ps`/`_mm256_min_ps` return
+//! for a NaN lane, exactly as `f32::max`/`f32::min` return the non-NaN
+//! operand. Each lane therefore rounds like the scalar body; the
+//! ragged remainder (< 8 elements) runs the body itself.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -127,12 +139,9 @@ pub(crate) fn axpy_scalar(out: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Cached AVX2+FMA runtime detection for the `Lanes8` kernels. The
-/// twins run the *same* Rust bodies compiled for 256-bit registers:
-/// `a*b + c` bodies keep separate multiply-then-add (Rust never
-/// contracts them) and `mul_add` bodies are fused on either path
-/// (hardware FMA in the twin, libm `fmaf` in the fallback), so the
-/// detection outcome changes throughput, never bits.
+/// Cached AVX2+FMA runtime detection for the `Lanes8` kernels. Every
+/// twin computes exactly its fallback's operations (module docs), so
+/// the detection outcome changes throughput, never bits.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2() -> bool {
@@ -183,7 +192,7 @@ pub(crate) fn axpy_lanes8(out: &mut [f32], a: f32, x: &[f32]) {
 /// [`crate::Matrix::matmul`]: `out` (`rows x n`, row-major) accumulates
 /// `lhs` (`rows x cols`) times `rhs` (`cols x n`). Register-blocked:
 /// output rows are processed four at a time in fixed-width column
-/// chunks (16/8 columns, then a ragged axpy tail) whose accumulators
+/// chunks (16/8 columns, then a ragged tail of 1–7) whose accumulators
 /// live in registers across the whole ascending-`k` loop and are stored
 /// once — instead of the output row being loaded and stored again per
 /// `k` step. The column blocks accumulate with `mul_add` (fused, one
@@ -191,7 +200,8 @@ pub(crate) fn axpy_lanes8(out: &mut [f32], a: f32, x: &[f32]) {
 /// at most that rounding; the order and the zero skip are exactly the
 /// scalar kernel's, and which columns fuse is fixed by the shape alone
 /// (`n - n % 8` leading columns), never by row, batch composition, or
-/// CPU. The ragged tail keeps separate multiply-then-add.
+/// CPU. The ragged tail keeps separate multiply-then-add, so it is
+/// bit-identical to the scalar kernel's `axpy` loop.
 ///
 /// Lives here (not in `matrix.rs`) so the whole loop gets one AVX2
 /// dispatch per matmul with the block kernels inlined into the twin.
@@ -221,22 +231,42 @@ fn matmul_lanes8_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut
 /// One register-blocked output chunk: `out_chunk` (width `W`) is held
 /// in a fixed-size accumulator array — registers, once vectorized —
 /// across the whole ascending-`k` loop and stored once, instead of
-/// being loaded and stored again per `k` step. Per lane the fused
-/// accumulations run in exactly the scalar kernel's order with the
-/// same zero skip (see [`matmul_lanes8`] for the rounding contract).
+/// being loaded and stored again per `k` step. Per lane the
+/// accumulations run in exactly the scalar kernel's order with the same
+/// zero skip; `FUSED` picks the rounding (see [`matmul_lanes8`]): the
+/// `mul_add` column blocks, or the ragged tail's separate
+/// multiply-then-add, which is the same operation per element as
+/// [`axpy_lanes8_body`].
 #[inline(always)]
-fn matmul_row_block<const W: usize>(a_row: &[f32], rhs: &[f32], n: usize, c: usize, out_chunk: &mut [f32]) {
+fn matmul_row_block<const W: usize, const FUSED: bool>(
+    a_row: &[f32],
+    rhs: &[f32],
+    n: usize,
+    c: usize,
+    out_chunk: &mut [f32],
+) {
     let mut acc = [0.0f32; W];
     acc.copy_from_slice(&out_chunk[..W]);
     for (k, &a) in a_row.iter().enumerate() {
         if a != 0.0 {
             let r = &rhs[k * n + c..k * n + c + W];
             for j in 0..W {
-                acc[j] = a.mul_add(r[j], acc[j]);
+                acc[j] = fma_or_axpy::<FUSED>(a, r[j], acc[j]);
             }
         }
     }
     out_chunk[..W].copy_from_slice(&acc);
+}
+
+/// One accumulation step of the matmul blocks: `a·r + acc` fused into
+/// one rounding, or rounded twice exactly like `axpy` (`acc += a * r`).
+#[inline(always)]
+fn fma_or_axpy<const FUSED: bool>(a: f32, r: f32, acc: f32) -> f32 {
+    if FUSED {
+        a.mul_add(r, acc)
+    } else {
+        acc + a * r
+    }
 }
 
 /// Four-row register tile: like [`matmul_row_block`], but four output
@@ -249,7 +279,7 @@ fn matmul_row_block<const W: usize>(a_row: &[f32], rhs: &[f32], n: usize, c: usi
 /// never changes an element's numerics, so quad-tiled and remainder
 /// rows agree bitwise.
 #[inline(always)]
-fn matmul_rows4_block<const W: usize>(
+fn matmul_rows4_block<const W: usize, const FUSED: bool>(
     a: [&[f32]; 4],
     rhs: &[f32],
     n: usize,
@@ -273,25 +303,25 @@ fn matmul_rows4_block<const W: usize>(
         let v0 = a0[k];
         if v0 != 0.0 {
             for j in 0..W {
-                acc0[j] = v0.mul_add(rr[j], acc0[j]);
+                acc0[j] = fma_or_axpy::<FUSED>(v0, rr[j], acc0[j]);
             }
         }
         let v1 = a1[k];
         if v1 != 0.0 {
             for j in 0..W {
-                acc1[j] = v1.mul_add(rr[j], acc1[j]);
+                acc1[j] = fma_or_axpy::<FUSED>(v1, rr[j], acc1[j]);
             }
         }
         let v2 = a2[k];
         if v2 != 0.0 {
             for j in 0..W {
-                acc2[j] = v2.mul_add(rr[j], acc2[j]);
+                acc2[j] = fma_or_axpy::<FUSED>(v2, rr[j], acc2[j]);
             }
         }
         let v3 = a3[k];
         if v3 != 0.0 {
             for j in 0..W {
-                acc3[j] = v3.mul_add(rr[j], acc3[j]);
+                acc3[j] = fma_or_axpy::<FUSED>(v3, rr[j], acc3[j]);
             }
         }
     }
@@ -301,30 +331,45 @@ fn matmul_rows4_block<const W: usize>(
     o3[..W].copy_from_slice(&acc3);
 }
 
-/// Single-row fallback for row counts not divisible by four and for
-/// ragged column tails; see [`matmul_row_block`].
+/// Calls `$block::<W, false>(args)` with the ragged tail width
+/// `W = $width ∈ 1..8` lifted to a constant, so the tail accumulates in
+/// a fixed-size register array like the column blocks do.
+macro_rules! with_tail_width {
+    ($width:expr, $block:ident($($arg:expr),* $(,)?)) => {
+        match $width {
+            1 => $block::<1, false>($($arg),*),
+            2 => $block::<2, false>($($arg),*),
+            3 => $block::<3, false>($($arg),*),
+            4 => $block::<4, false>($($arg),*),
+            5 => $block::<5, false>($($arg),*),
+            6 => $block::<6, false>($($arg),*),
+            7 => $block::<7, false>($($arg),*),
+            w => unreachable!("ragged tail width {w} is not below 8"),
+        }
+    };
+}
+
+/// Single-row fallback for row counts not divisible by four; see
+/// [`matmul_row_block`].
 #[inline(always)]
-fn matmul_one_row(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32], mut c: usize) {
+fn matmul_one_row(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32]) {
+    let mut c = 0;
     while n - c >= 32 {
-        matmul_row_block::<32>(a_row, rhs, n, c, &mut out_row[c..c + 32]);
+        matmul_row_block::<32, true>(a_row, rhs, n, c, &mut out_row[c..c + 32]);
         c += 32;
     }
     if n - c >= 16 {
-        matmul_row_block::<16>(a_row, rhs, n, c, &mut out_row[c..c + 16]);
+        matmul_row_block::<16, true>(a_row, rhs, n, c, &mut out_row[c..c + 16]);
         c += 16;
     }
     if n - c >= 8 {
-        matmul_row_block::<8>(a_row, rhs, n, c, &mut out_row[c..c + 8]);
+        matmul_row_block::<8, true>(a_row, rhs, n, c, &mut out_row[c..c + 8]);
         c += 8;
     }
     if c < n {
-        // Ragged tail (< 8 columns): ascending-`k` axpy updates on
-        // the remaining slice, same order and zero skip as above.
-        for (k, &a) in a_row.iter().enumerate() {
-            if a != 0.0 {
-                axpy_lanes8_body(&mut out_row[c..], a, &rhs[k * n + c..(k + 1) * n]);
-            }
-        }
+        // Ragged tail (< 8 columns): separate multiply-then-add, same
+        // ascending-`k` order and zero skip as above.
+        with_tail_width!(n - c, matmul_row_block(a_row, rhs, n, c, &mut out_row[c..]));
     }
 }
 
@@ -341,7 +386,7 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
         let (o2, o3) = rest.split_at_mut(n);
         let mut c = 0;
         while n - c >= 16 {
-            matmul_rows4_block::<16>(
+            matmul_rows4_block::<16, true>(
                 [a0, a1, a2, a3],
                 rhs,
                 n,
@@ -356,7 +401,7 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
             c += 16;
         }
         if n - c >= 8 {
-            matmul_rows4_block::<8>(
+            matmul_rows4_block::<8, true>(
                 [a0, a1, a2, a3],
                 rhs,
                 n,
@@ -371,13 +416,16 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
             c += 8;
         }
         if c < n {
-            for (a_row, out_row) in [(a0, &mut *o0), (a1, o1), (a2, o2), (a3, o3)] {
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a != 0.0 {
-                        axpy_lanes8_body(&mut out_row[c..], a, &rhs[k * n + c..(k + 1) * n]);
-                    }
-                }
-            }
+            with_tail_width!(
+                n - c,
+                matmul_rows4_block(
+                    [a0, a1, a2, a3],
+                    rhs,
+                    n,
+                    c,
+                    [&mut o0[c..], &mut o1[c..], &mut o2[c..], &mut o3[c..]],
+                )
+            );
         }
     }
     for (a_row, out_row) in lhs_quads
@@ -385,7 +433,7 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
         .chunks_exact(cols)
         .zip(out_quads.into_remainder().chunks_exact_mut(n))
     {
-        matmul_one_row(a_row, rhs, n, out_row, 0);
+        matmul_one_row(a_row, rhs, n, out_row);
     }
 }
 
@@ -439,61 +487,6 @@ pub(crate) fn matvec_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f3
             }
         }
         *o = acc;
-    }
-}
-
-/// The `Lanes8` fused attention-aggregation loop behind
-/// [`crate::InferCtx::scatter_weighted_rows`]: for each edge `e` in
-/// ascending order, `out[dst[e]] += weights[e] · a[src[e]]` (rows of
-/// width `cols`). Each edge is exactly one axpy row update, so the
-/// result is bit-identical to the scalar kernel's loop; hoisting the
-/// whole loop here gives it one AVX2 dispatch per call instead of one
-/// per edge.
-///
-/// # Panics
-/// Panics if an index is out of range or the lengths are inconsistent.
-pub(crate) fn scatter_axpy_lanes8(
-    out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-        return unsafe { scatter_axpy_lanes8_avx2(out, cols, a, weights, src, dst) };
-    }
-    scatter_axpy_kernel(out, cols, a, weights, src, dst)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn scatter_axpy_lanes8_avx2(
-    out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
-) {
-    scatter_axpy_kernel(out, cols, a, weights, src, dst);
-}
-
-#[inline(always)]
-fn scatter_axpy_kernel(
-    out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
-) {
-    for ((&w, &s), &d) in weights.iter().zip(src).zip(dst) {
-        let row = &a[s * cols..(s + 1) * cols];
-        let o = &mut out[d * cols..(d + 1) * cols];
-        axpy_lanes8_body(o, w, row);
     }
 }
 
@@ -565,11 +558,10 @@ pub fn tanh1(x: f32) -> f32 {
 
 /// In-place elementwise tanh over a slice.
 ///
-/// The libm `tanhf` call is the single most expensive instruction
-/// stream in the inference hot path (~11 ns/element, ~2.8k elements per
-/// forward on conv3/HReA — more than the matmuls). The `Lanes8` kernel
-/// replaces it with a branch-free `exp2`-based polynomial that LLVM
-/// auto-vectorizes: `tanh(|x|) = 1 − 2/(e^{2|x|} + 1)` with
+/// The libm `tanhf` call costs ~11 ns/element, and a forward maps
+/// ~2.8k elements on conv3/HReA. The `Lanes8` kernel replaces it with
+/// a branch-free `exp2`-based polynomial, run eight lanes at a time by
+/// its AVX2 intrinsics twin: `tanh(|x|) = 1 − 2/(e^{2|x|} + 1)` with
 /// `e^{2|x|} = 2^k · p(f)`, `p` a degree-6 Taylor/Horner evaluation of
 /// `2^f` on `|f| ≤ 0.5`. Absolute error vs libm is ≤ 1e-5 (contract;
 /// measured ~1e-6); NaN propagates; ±0 and saturation signs match libm.
@@ -599,10 +591,91 @@ fn tanh_fast_map_body(xs: &mut [f32]) {
     }
 }
 
+/// The AVX2 twin of [`tanh_fast_map_body`]: [`tanh_fast`] written out
+/// in 256-bit intrinsics, operation for operation, so each lane rounds
+/// exactly like the scalar body (see `avx2_twins_match_bodies_bitwise`).
+/// The ragged remainder (< 8 elements) runs the body itself.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn tanh_fast_map_avx2(xs: &mut [f32]) {
-    tanh_fast_map_body(xs);
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+    let mut chunks = xs.chunks_exact_mut(LANES);
+    for c in chunks.by_ref() {
+        // SAFETY: `c` is exactly `LANES` (8) contiguous `f32`s, so the
+        // unaligned 256-bit load and store stay inside the slice.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), tanh_fast8(_mm256_loadu_ps(c.as_ptr()))) };
+    }
+    tanh_fast_map_body(chunks.into_remainder());
+}
+
+/// Eight lanes of [`tanh_fast`]. `_mm256_min_ps(t, 64)` returns its
+/// second operand when `t` is NaN, exactly as `f32::min` returns the
+/// non-NaN operand, so the clamp (and the NaN propagation through `f`)
+/// matches the scalar body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn tanh_fast8(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    const TWO_LOG2_E: f32 = 2.0 * std::f32::consts::LOG2_E;
+    let sign = _mm256_set1_ps(-0.0);
+    let t = _mm256_mul_ps(_mm256_andnot_ps(sign, x), _mm256_set1_ps(TWO_LOG2_E));
+    let k = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_min_ps(t, _mm256_set1_ps(64.0)),
+        _mm256_set1_ps(0.5),
+    ));
+    let f = _mm256_sub_ps(t, _mm256_cvtepi32_ps(k));
+    let e = _mm256_mul_ps(exp2_poly8(f), exp2_int8(k));
+    let one = _mm256_set1_ps(1.0);
+    let y = _mm256_sub_ps(one, _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)));
+    // copysign(y, x)
+    _mm256_or_ps(_mm256_andnot_ps(sign, y), _mm256_and_ps(sign, x))
+}
+
+/// Eight lanes of the shared degree-6 Horner polynomial `p(f) ≈ 2^f`,
+/// with separate multiplies and adds in the scalar bodies' order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn exp2_poly8(f: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{_mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps};
+    let [c1, c2, c3, c4, c5, c6] = EXP2_C;
+    let mut p = _mm256_set1_ps(c6);
+    for c in [c5, c4, c3, c2, c1, 1.0] {
+        p = _mm256_add_ps(_mm256_set1_ps(c), _mm256_mul_ps(f, p));
+    }
+    p
+}
+
+/// Eight lanes of `2^k` by exponent-bit construction (`k` must keep
+/// `127 + k` a valid biased exponent, as both callers guarantee).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn exp2_int8(k: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{
+        _mm256_add_epi32, _mm256_castsi256_ps, _mm256_set1_epi32, _mm256_slli_epi32,
+    };
+    _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(k, _mm256_set1_epi32(127))))
+}
+
+/// Coefficients `ln2^i / i!` (i = 1..6) of the degree-6 Taylor
+/// polynomial of `2^f` shared by [`tanh_fast`] and [`exp_fast_neg`].
+const EXP2_C: [f32; 6] = [
+    std::f32::consts::LN_2,
+    0.240_226_5,
+    0.055_504_11,
+    0.009_618_13,
+    0.001_333_55,
+    0.000_154_04,
+];
+
+/// `2^f ≈ Σ ln2^i f^i / i!` for `|f| ≤ 0.5` (Horner, degree 6; separate
+/// multiplies and adds, which [`exp2_poly8`] mirrors lane for lane).
+#[inline(always)]
+fn exp2_poly(f: f32) -> f32 {
+    let [c1, c2, c3, c4, c5, c6] = EXP2_C;
+    1.0 + f * (c1 + f * (c2 + f * (c3 + f * (c4 + f * (c5 + f * c6)))))
 }
 
 /// Branch-free polynomial tanh (the `Lanes8` kernel of [`tanh_map`]).
@@ -620,14 +693,7 @@ fn tanh_fast(x: f32) -> f32 {
     // block vectorization of this loop.
     let k = (t.min(64.0) + 0.5) as i32;
     let f = t - k as f32;
-    // 2^f ≈ Σ ln2^i f^i / i! for |f| ≤ 0.5 (Horner, degree 6).
-    const C1: f32 = std::f32::consts::LN_2;
-    const C2: f32 = 0.240_226_5;
-    const C3: f32 = 0.055_504_11;
-    const C4: f32 = 0.009_618_13;
-    const C5: f32 = 0.001_333_55;
-    const C6: f32 = 0.000_154_04;
-    let p = 1.0 + f * (C1 + f * (C2 + f * (C3 + f * (C4 + f * (C5 + f * C6)))));
+    let p = exp2_poly(f);
     // 2^k by exponent-bit construction; k ∈ [0, 64] here.
     let scale = f32::from_bits(((127 + k) as u32) << 23);
     let e = p * scale; // e^{2|x|}
@@ -642,9 +708,9 @@ fn tanh_fast(x: f32) -> f32 {
 /// this is the libm `expf` loop, bit-identical to the historical
 /// segment-softmax numerator. Under [`SimdKind::Lanes8`] it is the same
 /// branch-free `2^k · p(f)` construction as [`tanh_map`], within `1e-5`
-/// relative of libm (measured ~1e-7), and LLVM vectorizes the loop —
-/// libm `expf` is the dominant cost of `segment_softmax`, the second
-/// hottest call in the batched forward after the matmuls.
+/// relative of libm (measured ~1e-7), run eight lanes at a time by its
+/// AVX2 intrinsics twin — libm `expf` would dominate the attention
+/// softmax of every GAT head.
 ///
 /// Both kernels depend only on the element bits, so the tape and
 /// tape-free softmax stay mutually bit-identical per kind. Inputs below
@@ -682,10 +748,45 @@ fn exp_neg_map_body(xs: &mut [f32]) {
     }
 }
 
+/// The AVX2 twin of [`exp_neg_map_body`]: [`exp_fast_neg`] written out
+/// in 256-bit intrinsics, operation for operation (see
+/// `avx2_twins_match_bodies_bitwise`). The ragged remainder (< 8
+/// elements) runs the body itself.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn exp_neg_map_avx2(xs: &mut [f32]) {
-    exp_neg_map_body(xs);
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+    let mut chunks = xs.chunks_exact_mut(LANES);
+    for c in chunks.by_ref() {
+        debug_assert!(
+            c.iter().all(|v| *v <= 0.0 || v.is_nan()),
+            "exp_neg_map input must be max-shifted (≤ 0)"
+        );
+        // SAFETY: `c` is exactly `LANES` (8) contiguous `f32`s, so the
+        // unaligned 256-bit load and store stay inside the slice.
+        unsafe { _mm256_storeu_ps(c.as_mut_ptr(), exp_fast_neg8(_mm256_loadu_ps(c.as_ptr()))) };
+    }
+    exp_neg_map_body(chunks.into_remainder());
+}
+
+/// Eight lanes of [`exp_fast_neg`]. `_mm256_max_ps(t, -126)` returns
+/// its second operand when `t` is NaN, exactly as `f32::max` returns
+/// the non-NaN operand, so NaN inputs clamp to `2^-126` on both paths.
+/// For inputs in the documented domain (`x ≤ 0` or NaN) `t - 0.5` lies
+/// in `[-126.5, -0.5]`, where truncating conversion needs no
+/// saturation.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn exp_fast_neg8(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let t = _mm256_max_ps(
+        _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+        _mm256_set1_ps(-126.0),
+    );
+    let k = _mm256_cvttps_epi32(_mm256_sub_ps(t, _mm256_set1_ps(0.5)));
+    let f = _mm256_sub_ps(t, _mm256_cvtepi32_ps(k));
+    _mm256_mul_ps(exp2_poly8(f), exp2_int8(k))
 }
 
 /// Branch-free polynomial `e^x` for `x ≤ 0` (the `Lanes8` kernel of
@@ -703,15 +804,7 @@ fn exp_fast_neg(x: f32) -> f32 {
     // block vectorization.
     let k = (t - 0.5) as i32;
     let f = t - k as f32;
-    // 2^f ≈ Σ ln2^i f^i / i! for |f| ≤ 0.5 (Horner, degree 6) — same
-    // coefficients as `tanh_fast`.
-    const C1: f32 = std::f32::consts::LN_2;
-    const C2: f32 = 0.240_226_5;
-    const C3: f32 = 0.055_504_11;
-    const C4: f32 = 0.009_618_13;
-    const C5: f32 = 0.001_333_55;
-    const C6: f32 = 0.000_154_04;
-    let p = 1.0 + f * (C1 + f * (C2 + f * (C3 + f * (C4 + f * (C5 + f * C6)))));
+    let p = exp2_poly(f);
     // 2^k by exponent-bit construction; k ∈ [-126, 0] here.
     let scale = f32::from_bits(((127 + k) as u32) << 23);
     p * scale
@@ -885,6 +978,94 @@ mod tests {
         assert_eq!(tanh_fast(-40.0), -1.0);
         assert_eq!(tanh_fast(1.0e30), 1.0);
         assert!(tanh_fast(f32::NAN).is_nan(), "NaN must propagate");
+    }
+
+    /// Inputs that stress every branch-free trick of the polynomial
+    /// kernels: NaNs (both signs, two payloads), ±inf, ±0, subnormals,
+    /// the `-126` exponent clamp of the exp kernel, the `|x| ≥ 9`
+    /// saturation and `k = 64` cap of the tanh kernel, rounding ties of
+    /// the nearest-integer step, and a dense ramp in between.
+    fn stress_inputs() -> Vec<f32> {
+        let mut xs = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            -87.336_55,
+            -87.4,
+            -88.0,
+            -104.0,
+            -1.0e30,
+            f32::MIN,
+            f32::MAX,
+            9.0,
+            -9.0,
+            9.01,
+            22.18,
+            -22.19,
+            40.0,
+            1.0e30,
+        ];
+        // Nearest-integer ties (`t = k ± 0.5`) of both kernels.
+        for k in 0..130 {
+            let half = k as f32 + 0.5;
+            xs.push(-half / std::f32::consts::LOG2_E);
+            xs.push(half / (2.0 * std::f32::consts::LOG2_E));
+        }
+        let mut i = -3000i32;
+        while i <= 3000 {
+            xs.push(i as f32 * 0.013_7);
+            i += 1;
+        }
+        xs
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_twins_match_bodies_bitwise() {
+        if !avx2() {
+            return; // no AVX2 on this CPU: the twins never run
+        }
+        let all = stress_inputs();
+        // The exp kernel's domain is `x ≤ 0` or NaN (max-shifted inputs).
+        let neg: Vec<f32> = all.iter().copied().filter(|v| *v <= 0.0 || v.is_nan()).collect();
+        // Every length 0..=40 at every start offset 0..8 of the sweep,
+        // so each value meets both the 8-lane body and the remainder.
+        for (name, xs) in [("tanh", &all), ("exp", &neg)] {
+            for start in 0..8 {
+                for len in (0..=40).chain([xs.len() - start]) {
+                    let src = &xs[start..start + len];
+                    let (mut body, mut twin) = (src.to_vec(), src.to_vec());
+                    if name == "tanh" {
+                        tanh_fast_map_body(&mut body);
+                        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                        unsafe { tanh_fast_map_avx2(&mut twin) };
+                    } else {
+                        exp_neg_map_body(&mut body);
+                        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                        unsafe { exp_neg_map_avx2(&mut twin) };
+                    }
+                    for ((b, t), x) in body.iter().zip(&twin).zip(src) {
+                        assert_eq!(
+                            b.to_bits(),
+                            t.to_bits(),
+                            "{name}({x:e} = {:#x}): body {b:e} vs avx2 {t:e}",
+                            x.to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
