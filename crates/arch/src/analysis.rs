@@ -6,7 +6,8 @@ use crate::{Cgra, PeId};
 use std::collections::VecDeque;
 
 /// All-pairs shortest hop distances (BFS per source). `None` entries
-/// mean unreachable.
+/// mean unreachable. The builder of [`Cgra::hop_table`], through which
+/// every other analysis reads distances; kept public as its test oracle.
 #[must_use]
 pub fn shortest_paths(cgra: &Cgra) -> Vec<Vec<Option<u32>>> {
     let n = cgra.pe_count();
@@ -44,34 +45,21 @@ pub struct FabricMetrics {
     pub links: usize,
 }
 
-/// Compute [`FabricMetrics`].
+/// Compute [`FabricMetrics`] from the fabric's cached [`HopTable`]
+/// (`crate::HopTable`): the diameter is `max_bound − 1`, and a pair at
+/// distance `d` lies outside the bound-`b` reach of every `b < d`, so
+/// the distance sum is `Σ_{b < max_bound} (pairs(max_bound) − pairs(b))`.
 #[must_use]
 pub fn metrics(cgra: &Cgra) -> FabricMetrics {
-    let paths = shortest_paths(cgra);
-    let mut diameter = 0u32;
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    let mut connected = true;
-    let n = cgra.pe_count();
-    for (i, row) in paths.iter().enumerate() {
-        for (j, d) in row.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            match d {
-                Some(d) => {
-                    diameter = diameter.max(*d);
-                    total += u64::from(*d);
-                    pairs += 1;
-                }
-                None => connected = false,
-            }
-        }
-    }
+    let table = cgra.hop_table();
+    let n = cgra.pe_count() as u64;
+    let reachable = table.pairs_within(table.max_bound());
+    let total: u64 = (0..table.max_bound()).map(|b| reachable - table.pairs_within(b)).sum();
+    let pairs = reachable - n;
     FabricMetrics {
-        diameter,
+        diameter: table.diameter(),
         avg_distance: if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 },
-        strongly_connected: connected,
+        strongly_connected: table.strongly_connected(),
         avg_degree: cgra.link_count() as f64 / n.max(1) as f64,
         links: cgra.link_count(),
     }
@@ -79,15 +67,14 @@ pub fn metrics(cgra: &Cgra) -> FabricMetrics {
 
 /// The PEs reachable from `src` within `hops` links (excluding `src`);
 /// the paper's motivational example reasons about exactly this
-/// ("routing capability" of the shaded PEs).
+/// ("routing capability" of the shaded PEs). One row of the fabric's
+/// cached [`HopTable`](crate::HopTable).
 #[must_use]
 pub fn reachable_within(cgra: &Cgra, src: PeId, hops: u32) -> Vec<PeId> {
-    let paths = shortest_paths(cgra);
+    let table = cgra.hop_table();
+    let row = table.fwd(hops.min(table.max_bound()), src);
     cgra.pe_ids()
-        .filter(|&p| {
-            p != src
-                && paths[src.index()][p.index()].is_some_and(|d| d <= hops)
-        })
+        .filter(|&p| p != src && row[p.index() / 64] & (1u64 << (p.index() % 64)) != 0)
         .collect()
 }
 
@@ -149,5 +136,55 @@ mod tests {
             reachable_within(&g, PeId(0), m.diameter).len(),
             g.pe_count() - 1
         );
+    }
+
+    /// The table-served metrics and reach rows equal what the all-pairs
+    /// BFS gives directly, on connected and disconnected fabrics.
+    #[test]
+    fn table_served_analyses_match_the_bfs_oracle() {
+        let fabrics = [
+            presets::hrea(),
+            presets::adres(),
+            presets::hycube(),
+            presets::baseline16(),
+            presets::motivational2x3(),
+            CgraBuilder::new("d", 2, 2).link(PeId(0), PeId(1)).finish(),
+            CgraBuilder::new("lone", 1, 1).finish(),
+            CgraBuilder::new("split", 3, 3)
+                .interconnect(Interconnect::Mesh)
+                .link(PeId(0), PeId(8))
+                .finish(),
+            CgraBuilder::new("oneway", 2, 5)
+                .link(PeId(0), PeId(1))
+                .link(PeId(1), PeId(2))
+                .link(PeId(2), PeId(7))
+                .finish(),
+        ];
+        for g in &fabrics {
+            let paths = shortest_paths(g);
+            let finite = || {
+                paths.iter().enumerate().flat_map(|(i, row)| {
+                    row.iter().enumerate().filter(move |&(j, _)| j != i).map(|(_, d)| *d)
+                })
+            };
+            let dists: Vec<u32> = finite().flatten().collect();
+            let total: u64 = dists.iter().map(|&d| u64::from(d)).sum();
+            let m = metrics(g);
+            assert_eq!(m.diameter, dists.iter().copied().max().unwrap_or(0), "{}", g.name());
+            assert_eq!(m.strongly_connected, finite().all(|d| d.is_some()), "{}", g.name());
+            let avg = if dists.is_empty() { 0.0 } else { total as f64 / dists.len() as f64 };
+            assert_eq!(m.avg_distance.to_bits(), avg.to_bits(), "{}", g.name());
+            for src in g.pe_ids() {
+                for hops in 0..m.diameter + 3 {
+                    let oracle: Vec<PeId> = g
+                        .pe_ids()
+                        .filter(|&p| {
+                            p != src && paths[src.index()][p.index()].is_some_and(|d| d <= hops)
+                        })
+                        .collect();
+                    assert_eq!(reachable_within(g, src, hops), oracle, "{} {src} {hops}", g.name());
+                }
+            }
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The fabric description: a grid of PEs plus directed links.
 
-use crate::{Capability, Interconnect};
+use crate::{Capability, HopTable, Interconnect};
 use mapzero_dfg::{OpClass, Opcode};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a PE within a [`Cgra`], in row-major order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -60,7 +61,9 @@ impl RoutingStyle {
 /// A complete CGRA fabric description.
 ///
 /// Construct via [`CgraBuilder`] or one of the [`crate::presets`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Immutable once built, so its derived [`HopTable`] is computed at most
+/// once and shared by every clone.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Cgra {
     name: String,
     rows: usize,
@@ -76,6 +79,64 @@ pub struct Cgra {
     /// ADRES-style constraint: all PEs of a row share one memory bus, so
     /// at most one memory operation may execute per row per time slice.
     row_shared_mem_bus: bool,
+    /// The hop table, set on first use. The cell itself sits behind an
+    /// `Arc`, so clones made before first use share the table too.
+    /// Derived data: equality, `Debug` and the codecs ignore it.
+    hops: Arc<OnceLock<Arc<HopTable>>>,
+}
+
+impl PartialEq for Cgra {
+    fn eq(&self, other: &Self) -> bool {
+        let Cgra {
+            name,
+            rows,
+            cols,
+            pes,
+            links,
+            rlinks,
+            interconnects,
+            style,
+            row_shared_mem_bus,
+            hops: _,
+        } = self;
+        *name == other.name
+            && *rows == other.rows
+            && *cols == other.cols
+            && *pes == other.pes
+            && *links == other.links
+            && *rlinks == other.rlinks
+            && *interconnects == other.interconnects
+            && *style == other.style
+            && *row_shared_mem_bus == other.row_shared_mem_bus
+    }
+}
+
+impl fmt::Debug for Cgra {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Cgra {
+            name,
+            rows,
+            cols,
+            pes,
+            links,
+            rlinks,
+            interconnects,
+            style,
+            row_shared_mem_bus,
+            hops: _,
+        } = self;
+        f.debug_struct("Cgra")
+            .field("name", name)
+            .field("rows", rows)
+            .field("cols", cols)
+            .field("pes", pes)
+            .field("links", links)
+            .field("rlinks", rlinks)
+            .field("interconnects", interconnects)
+            .field("style", style)
+            .field("row_shared_mem_bus", row_shared_mem_bus)
+            .finish()
+    }
 }
 
 impl Cgra {
@@ -215,6 +276,18 @@ impl Cgra {
     pub fn link_count(&self) -> usize {
         self.links.iter().map(Vec::len).sum()
     }
+
+    /// The fabric's hop-bounded reach tables, built on the first call
+    /// and shared by every clone of this fabric. The first build is
+    /// charged to the `fabric.hop_table.build` span and counter.
+    #[must_use]
+    pub fn hop_table(&self) -> &Arc<HopTable> {
+        self.hops.get_or_init(|| {
+            let _span = mapzero_obs::span!("fabric.hop_table.build");
+            mapzero_obs::counter!("fabric.hop_table.build");
+            Arc::new(HopTable::build(self))
+        })
+    }
 }
 
 /// Builder for [`Cgra`].
@@ -351,6 +424,7 @@ impl CgraBuilder {
             interconnects: self.interconnects,
             style: self.style,
             row_shared_mem_bus: self.row_shared_mem_bus,
+            hops: Arc::default(),
         }
     }
 }

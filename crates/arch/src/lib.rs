@@ -12,6 +12,8 @@
 //!   neighbour-to-neighbour vs. single-cycle multi-hop crossbar),
 //! * the preset target architectures of Table 1 and the heterogeneous
 //!   fabric of Fig. 14 ([`presets`]),
+//! * the per-fabric hop-bounded reach tables of the candidate pruning
+//!   ([`HopTable`], built once per fabric and shared by its clones),
 //! * 7-dimensional PE feature vectors of §3.2.2 ([`features`]),
 //! * the fabric symmetry group used for training-data augmentation
 //!   (§3.6.1, [`symmetry`]).
@@ -30,6 +32,7 @@
 
 mod capability;
 mod cgra;
+mod hops;
 mod topology;
 
 pub mod analysis;
@@ -41,4 +44,5 @@ pub mod textfmt;
 
 pub use capability::Capability;
 pub use cgra::{Cgra, CgraBuilder, Pe, PeId, RoutingStyle};
+pub use hops::HopTable;
 pub use topology::Interconnect;

@@ -16,10 +16,14 @@
 //!   PEs (one FU claim per slot), and on row-shared-memory-bus fabrics
 //!   two same-slot memory ops need distinct rows.
 //!
-//! [`CandidateMap::build`] intersects the capability filter with an
-//! arc-consistency fixpoint over the routability constraints: a PE
+//! The hop-bounded reach tables behind the routability test depend on
+//! the fabric alone: they live in the fabric's [`HopTable`], built once
+//! per fabric and shared by its clones ([`Cgra::hop_table`]), and a
+//! [`CandidateMap`] holds an `Arc` to it. [`CandidateMap::build`] does
+//! only the per-problem work: it intersects the capability filter with
+//! an arc-consistency fixpoint over the routability constraints (a PE
 //! stays a candidate for `u` only while every neighbour `v` retains a
-//! compatible candidate. [`CandidateState`] then forward-checks the
+//! compatible candidate). [`CandidateState`] then forward-checks the
 //! live sets during search — each committed placement removes
 //! candidates its occupancy and distance bounds invalidate, and a trail
 //! restores them exactly on backtrack, so the live sets are a pure
@@ -33,17 +37,18 @@
 //! dead-state early termination ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).
 
 use crate::mapping::Placement;
-use mapzero_arch::{Cgra, PeId, RoutingStyle};
+use mapzero_arch::{Cgra, HopTable, PeId, RoutingStyle};
 use mapzero_dfg::{Dfg, NodeId, OpClass, Schedule};
+use std::sync::Arc;
 
 /// One routability constraint incident to a node, from that node's own
 /// perspective.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Constraint {
     /// The node at the other end of the DFG edge.
     other: u32,
     /// Hop bound (capped at the fabric diameter + 1; an index into the
-    /// precomputed reachability tables).
+    /// fabric's [`HopTable`]).
     bound: u32,
     /// True when the value flows from this node to `other`.
     forward: bool,
@@ -52,9 +57,10 @@ struct Constraint {
     same_slot: bool,
 }
 
-/// Immutable candidate sets for one `(DFG, CGRA, II)` problem, plus the
-/// reachability tables the live propagation needs. Built once per II
-/// attempt (rebuilt on an II bump — the slacks change).
+/// Immutable candidate sets for one `(DFG, CGRA, II)` problem, plus a
+/// handle on the fabric's reach tables, which the live propagation
+/// reads. Built once per II attempt (rebuilt on an II bump — the slacks
+/// change); the tables are not rebuilt.
 #[derive(Debug, Clone)]
 pub struct CandidateMap {
     pe_count: usize,
@@ -65,18 +71,15 @@ pub struct CandidateMap {
     counts: Vec<u32>,
     /// Per-node incident constraints.
     constraints: Vec<Vec<Constraint>>,
-    /// `fwd[b]` is PE-major: bit `q` of row `p` set iff `hops(p→q) ≤ b`.
-    fwd: Vec<Vec<u64>>,
-    /// `rev[b]`: bit `q` of row `p` set iff `hops(q→p) ≤ b`.
-    rev: Vec<Vec<u64>>,
+    /// The fabric's reach tables and row bitsets, shared with it.
+    hops: Arc<HopTable>,
     /// Nodes per modulo slot (for FU-exclusivity propagation).
     slot_nodes: Vec<Vec<u32>>,
     slot_of: Vec<u32>,
     /// Memory-class flag per node (row-bus propagation).
     is_mem: Vec<bool>,
-    /// Row-shared memory bus: PEs per row, as bitsets.
-    row_sets: Option<Vec<Vec<u64>>>,
-    row_of: Vec<u32>,
+    /// The fabric has a row-shared memory bus.
+    row_bus: bool,
 }
 
 #[inline]
@@ -111,29 +114,10 @@ impl CandidateMap {
         let pe_count = cgra.pe_count();
         let words = pe_count.div_ceil(64);
         let ii = schedule.ii();
-
-        // Reachability tables from all-pairs shortest hop distances.
-        // Any finite distance is at most the diameter, so bounds are
-        // capped at `diameter + 1` ("any reachable PE").
-        let dist = mapzero_arch::analysis::shortest_paths(cgra);
-        let diameter = dist
-            .iter()
-            .flatten()
-            .filter_map(|d| *d)
-            .max()
-            .unwrap_or(0);
-        let max_bound = diameter + 1;
-        let mut fwd = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
-        let mut rev = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
-        for (p, row) in dist.iter().enumerate() {
-            for (q, d) in row.iter().enumerate() {
-                let Some(d) = *d else { continue };
-                for b in d.min(max_bound)..=max_bound {
-                    set_bit(&mut fwd[b as usize][p * words..(p + 1) * words], q);
-                    set_bit(&mut rev[b as usize][q * words..(q + 1) * words], p);
-                }
-            }
-        }
+        // Every finite distance is at most the diameter, so hop bounds
+        // cap at `max_bound` = diameter + 1 ("any reachable PE").
+        let hops = Arc::clone(cgra.hop_table());
+        let max_bound = hops.max_bound();
 
         // Static capability filter.
         let mut sets = vec![0u64; n * words];
@@ -182,14 +166,6 @@ impl CandidateMap {
         }
         let is_mem: Vec<bool> =
             dfg.node_ids().map(|u| dfg.node(u).opcode.class() == OpClass::Memory).collect();
-        let row_of: Vec<u32> = cgra.pe_ids().map(|p| cgra.pe(p).row as u32).collect();
-        let row_sets = cgra.row_shared_mem_bus().then(|| {
-            let mut rows = vec![vec![0u64; words]; cgra.rows()];
-            for p in cgra.pe_ids() {
-                set_bit(&mut rows[cgra.pe(p).row], p.index());
-            }
-            rows
-        });
 
         let mut map = CandidateMap {
             pe_count,
@@ -197,13 +173,11 @@ impl CandidateMap {
             sets,
             counts: vec![0; n],
             constraints,
-            fwd,
-            rev,
+            hops,
             slot_nodes,
             slot_of,
             is_mem,
-            row_sets,
-            row_of,
+            row_bus: cgra.row_shared_mem_bus(),
         };
         map.arc_consistency();
         for u in 0..n {
@@ -256,8 +230,12 @@ impl CandidateMap {
 
     /// Reachability row for one constraint endpoint placed at `p`.
     fn reach(&self, c: Constraint, p: usize) -> &[u64] {
-        let table = if c.forward { &self.fwd } else { &self.rev };
-        &table[c.bound as usize][p * self.words..(p + 1) * self.words]
+        let p = PeId(p as u32);
+        if c.forward {
+            self.hops.fwd(c.bound, p)
+        } else {
+            self.hops.rev(c.bound, p)
+        }
     }
 
     /// The arc-consistent candidate bitset of `u`.
@@ -356,7 +334,6 @@ impl CandidateState {
         }
         self.placed[ui] = true;
 
-        let words = map.words;
         let slot = map.slot_of[ui] as usize;
         for &w in &map.slot_nodes[slot] {
             let wi = w as usize;
@@ -364,18 +341,14 @@ impl CandidateState {
                 self.remove(map, wi, p.index());
             }
         }
-        if let Some(rows) = &map.row_sets {
-            if map.is_mem[ui] {
-                let row = &rows[map.row_of[p.index()] as usize];
-                for &w in &map.slot_nodes[slot] {
-                    let wi = w as usize;
-                    if wi == ui || !map.is_mem[wi] || placements[wi].is_some() {
-                        continue;
-                    }
-                    for q in bits(&self.sets[wi * words..(wi + 1) * words], row) {
-                        self.remove(map, wi, q);
-                    }
+        if map.row_bus && map.is_mem[ui] {
+            let row = map.hops.row_set(map.hops.row_of(p));
+            for &w in &map.slot_nodes[slot] {
+                let wi = w as usize;
+                if wi == ui || !map.is_mem[wi] || placements[wi].is_some() {
+                    continue;
                 }
+                self.remove_masked(map, wi, |i| row[i]);
             }
         }
         for c in &map.constraints[ui] {
@@ -384,26 +357,22 @@ impl CandidateState {
                 continue;
             }
             let reach = map.reach(*c, p.index());
-            let outside: Vec<usize> = {
-                let vset = &self.sets[vi * words..(vi + 1) * words];
-                vset.iter()
-                    .zip(reach)
-                    .enumerate()
-                    .flat_map(|(w, (s, r))| {
-                        let mut out = s & !r;
-                        std::iter::from_fn(move || {
-                            if out == 0 {
-                                return None;
-                            }
-                            let b = out.trailing_zeros() as usize;
-                            out &= out - 1;
-                            Some(w * 64 + b)
-                        })
-                    })
-                    .collect()
-            };
-            for q in outside {
-                self.remove(map, vi, q);
+            self.remove_masked(map, vi, |i| !reach[i]);
+        }
+    }
+
+    /// Remove from `node`'s live set every PE whose bit is set in
+    /// `mask(word)`, in ascending PE order, walking the set's words in
+    /// place. A removal only clears a bit of the word being walked, so
+    /// this removes exactly the masked bits of the set as it was on
+    /// entry.
+    fn remove_masked(&mut self, map: &CandidateMap, node: usize, mask: impl Fn(usize) -> u64) {
+        for i in 0..map.words {
+            let mut out = self.sets[node * map.words + i] & mask(i);
+            while out != 0 {
+                let b = out.trailing_zeros() as usize;
+                out &= out - 1;
+                self.remove(map, node, i * 64 + b);
             }
         }
     }
@@ -451,25 +420,6 @@ impl CandidateState {
     pub fn candidate_count(&self, u: NodeId) -> u32 {
         self.counts[u.index()]
     }
-}
-
-/// Set bits of `a & b`, as indices.
-fn bits(a: &[u64], b: &[u64]) -> Vec<usize> {
-    a.iter()
-        .zip(b)
-        .enumerate()
-        .flat_map(|(w, (x, y))| {
-            let mut v = x & y;
-            std::iter::from_fn(move || {
-                if v == 0 {
-                    return None;
-                }
-                let bit = v.trailing_zeros() as usize;
-                v &= v - 1;
-                Some(w * 64 + bit)
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -596,6 +546,156 @@ mod tests {
         let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
         for u in dfg.node_ids() {
             assert!(map.candidate_count(u) > 0, "node {u} lost all candidates");
+        }
+    }
+
+    /// The six quick Table-2 kernels on `fabrics`, at MII and MII + 1.
+    fn table2_problems(fabrics: Vec<Cgra>) -> Vec<(Dfg, Cgra, u32)> {
+        let mut out = Vec::new();
+        for cgra in fabrics {
+            for name in ["sum", "mac", "conv2", "accumulate", "matmul", "conv3"] {
+                let dfg = mapzero_dfg::suite::by_name(name).expect("suite kernel");
+                let Ok(mii) = Problem::mii(&dfg, &cgra) else { continue };
+                for ii in [mii, mii + 1] {
+                    out.push((dfg.clone(), cgra.clone(), ii));
+                }
+            }
+        }
+        out
+    }
+
+    /// The forward check as first written: collect each incident
+    /// constraint's doomed PEs into a `Vec`, then remove them. The
+    /// in-place word walk of [`CandidateState::on_place`] must leave the
+    /// same trail, removal for removal.
+    fn on_place_collecting(
+        live: &mut CandidateState,
+        map: &CandidateMap,
+        u: NodeId,
+        p: PeId,
+        placements: &[Option<Placement>],
+    ) {
+        fn bits(a: &[u64], b: impl Fn(usize) -> u64) -> Vec<usize> {
+            let mut out = Vec::new();
+            for (w, x) in a.iter().enumerate() {
+                let mut v = x & b(w);
+                while v != 0 {
+                    out.push(w * 64 + v.trailing_zeros() as usize);
+                    v &= v - 1;
+                }
+            }
+            out
+        }
+        live.frames.push((live.trail.len(), u.0));
+        let ui = u.index();
+        if live.counts[ui] == 0 {
+            live.empty_unplaced -= 1;
+        }
+        live.placed[ui] = true;
+        let words = map.words;
+        let slot = map.slot_of[ui] as usize;
+        for &w in &map.slot_nodes[slot] {
+            let wi = w as usize;
+            if wi != ui && placements[wi].is_none() {
+                live.remove(map, wi, p.index());
+            }
+        }
+        if map.row_bus && map.is_mem[ui] {
+            let row = map.hops.row_set(map.hops.row_of(p));
+            for &w in &map.slot_nodes[slot] {
+                let wi = w as usize;
+                if wi == ui || !map.is_mem[wi] || placements[wi].is_some() {
+                    continue;
+                }
+                for q in bits(&live.sets[wi * words..(wi + 1) * words], |i| row[i]) {
+                    live.remove(map, wi, q);
+                }
+            }
+        }
+        for c in &map.constraints[ui] {
+            let vi = c.other as usize;
+            if placements[vi].is_some() {
+                continue;
+            }
+            let reach = map.reach(*c, p.index());
+            for q in bits(&live.sets[vi * words..(vi + 1) * words], |i| !reach[i]) {
+                live.remove(map, vi, q);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_walk_leaves_the_collecting_walks_trail() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut steps = 0;
+        // The evaluation fabrics fit one bitset word; the 16×16
+        // baseline needs four.
+        let mut fabrics = presets::evaluation_fabrics();
+        fabrics.push(presets::baseline16());
+        for (dfg, cgra, ii) in table2_problems(fabrics) {
+            let problem = Problem::new(&dfg, &cgra, ii).unwrap();
+            let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
+            for _walk in 0..4 {
+                let mut live = CandidateState::new(&map);
+                let mut oracle = live.clone();
+                let mut placements = vec![None; dfg.node_count()];
+                for &u in problem.order() {
+                    let live_pes: Vec<PeId> =
+                        cgra.pe_ids().filter(|&p| live.is_candidate(u, p)).collect();
+                    if live_pes.is_empty() {
+                        break;
+                    }
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    let p = live_pes[(rng % live_pes.len() as u64) as usize];
+                    placements[u.index()] =
+                        Some(Placement { pe: p, time: problem.schedule().time(u) });
+                    live.on_place(&map, u, p, &placements);
+                    on_place_collecting(&mut oracle, &map, u, p, &placements);
+                    assert_eq!(
+                        live.trail,
+                        oracle.trail,
+                        "{} on {} II {ii}",
+                        dfg.name(),
+                        cgra.name()
+                    );
+                    assert_eq!((&live.sets, &live.counts), (&oracle.sets, &oracle.counts));
+                    assert_eq!(live.empty_unplaced, oracle.empty_unplaced);
+                    steps += 1;
+                }
+            }
+        }
+        assert!(steps > 500, "only {steps} placements walked");
+    }
+
+    #[test]
+    fn fresh_and_warmed_fabrics_build_equal_maps() {
+        for (dfg, cgra, ii) in table2_problems(presets::evaluation_fabrics()) {
+            // `cgra` is a clone of a fabric whose table an earlier
+            // problem may have built; rebuild the fabric from scratch
+            // for the cold side.
+            let fresh = presets::evaluation_fabrics()
+                .into_iter()
+                .find(|c| c.name() == cgra.name())
+                .expect("evaluation fabric");
+            let cold = Problem::new(&dfg, &fresh, ii).unwrap().with_candidate_pruning();
+            let _ = cgra.hop_table();
+            let warmed = cgra.clone();
+            let warm = Problem::new(&dfg, &warmed, ii).unwrap().with_candidate_pruning();
+            let (a, b) = (cold.candidates().unwrap(), warm.candidates().unwrap());
+            assert!(Arc::ptr_eq(&b.hops, cgra.hop_table()), "the map shares the fabric's table");
+            assert_eq!(*a.hops, *b.hops);
+            assert_eq!(
+                (&a.sets, &a.counts),
+                (&b.sets, &b.counts),
+                "{} on {}",
+                dfg.name(),
+                cgra.name()
+            );
+            assert_eq!(a.constraints, b.constraints);
+            assert_eq!(cold.order(), warm.order());
+            assert_eq!(cold.fingerprint(), warm.fingerprint());
         }
     }
 }

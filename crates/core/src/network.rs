@@ -187,10 +187,12 @@ pub struct LossBreakdown {
 
 /// Per-thread scratch for the tape-free forward path: the bump-arena
 /// workspace and the two message indices, which
-/// [`MessageIndex::rebuild_tiled`] rebuilds only when the edge list,
-/// node count or batch width changes — a search evaluates one problem's
-/// states over and over, so the indices are built once per problem and
-/// batch width.
+/// [`MessageIndex::rebuild_tiled`] rebuilds only when the edge list or
+/// node count changes, and extends only when a batch is wider than any
+/// before — a search evaluates one problem's states over and over at
+/// alternating batch widths (K = 1 at the root, wider leaf flushes), so
+/// the indices are built once per problem, at the widest width, and
+/// narrower batches read their prefix.
 /// Thread-local so [`MapZeroNet::predict_batch`] keeps its `&self`
 /// signature and the net stays shareable across self-play worker
 /// threads.

@@ -149,35 +149,30 @@ impl InferCtx {
         crate::simd::tanh_map(self.slots[x.0].data_mut());
     }
 
-    /// `out[i] = a[idx[i]]` into a fresh slot.
+    /// Sum every node's incoming messages into a fresh `n x c` slot:
+    /// `out[u] = Σ a[v]` over the messages `v → u` of `index`, added in
+    /// message order onto a zero row.
+    ///
+    /// Bit-identical to the tape's gather of the message sources
+    /// followed by a scatter-add onto their destinations: the CSR view
+    /// keeps each destination's messages in message order, so every
+    /// output row sees the same additions in the same order.
     ///
     /// # Panics
-    /// Panics if any index is out of range or `idx` is empty.
-    pub fn gather_rows(&mut self, a: BufId, idx: &[usize]) -> BufId {
-        assert!(!idx.is_empty(), "gather needs at least one index");
+    /// Panics unless `a` has `index.n()` rows.
+    pub fn sum_messages(&mut self, a: BufId, index: &MessageIndex) -> BufId {
+        let n = index.n();
+        let (start, src) = (index.csr_start(), index.csr_src());
+        assert_eq!(self.slots[a.0].rows(), n, "one input row per node");
         let cols = self.slots[a.0].cols();
-        let out = self.alloc(idx.len(), cols);
+        let out = self.alloc(n, cols);
         let (o, av) = self.pair_mut(out, a);
-        for (r, &i) in idx.iter().enumerate() {
-            assert!(i < av.rows(), "gather index {i} out of range");
-            o.row_slice_mut(r).copy_from_slice(av.row_slice(i));
-        }
-        out
-    }
-
-    /// `out[r] = Σ_{i: idx[i]==r} a[i]` into a fresh `rows x c` slot.
-    ///
-    /// # Panics
-    /// Panics if `idx.len() != a.rows()` or any index ≥ `rows`.
-    pub fn scatter_add_rows(&mut self, a: BufId, idx: &[usize], rows: usize) -> BufId {
-        assert_eq!(idx.len(), self.slots[a.0].rows(), "one target per input row");
-        let cols = self.slots[a.0].cols();
-        let out = self.alloc(rows, cols);
-        let (o, av) = self.pair_mut(out, a);
-        for (i, &r) in idx.iter().enumerate() {
-            assert!(r < rows, "scatter index {r} out of range");
-            for (v, &x) in o.row_slice_mut(r).iter_mut().zip(av.row_slice(i)) {
-                *v += x;
+        for u in 0..n {
+            let row = o.row_slice_mut(u);
+            for &v in &src[start[u]..start[u + 1]] {
+                for (x, &y) in row.iter_mut().zip(av.row_slice(v)) {
+                    *x += y;
+                }
             }
         }
         out
@@ -405,24 +400,28 @@ pub fn log_softmax_masked_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>
     );
 }
 
-/// Precomputed message routing for one graph: the `(src, dst)` index
-/// columns with self-loops appended — exactly what
-/// [`crate::GatLayer::forward`] rebuilds on every tape pass — their
-/// destination-grouped (CSR) view for [`InferCtx::gat_attention`], and
-/// the inverse in-degrees [`crate::GcnLayer`] normalizes by. Rebuilt in
-/// place, and only when the graph changes, so a search that evaluates
-/// one problem's states over and over builds it once.
+/// Precomputed message routing for one graph, or for K stacked copies
+/// of it: the messages — the edges with a self-loop per node, exactly
+/// what [`crate::GatLayer::forward`] rebuilds on every tape pass —
+/// grouped by destination (CSR), and the inverse in-degrees
+/// [`crate::GcnLayer`] normalizes by.
+///
+/// The CSR of K copies is a prefix of the CSR of any wider tiling, so
+/// the index is built once per graph at the widest K asked for, and a
+/// narrower batch reads the prefix: a search that evaluates one
+/// problem's states at alternating batch widths builds it once.
 #[derive(Debug, Default, Clone)]
 pub struct MessageIndex {
-    src: Vec<usize>,
-    dst: Vec<usize>,
-    inv_deg: Vec<f32>,
-    n: usize,
+    /// Copies the current view covers.
+    copies: usize,
     /// Messages into node `u` are `csr_src[csr_start[u]..csr_start[u + 1]]`
-    /// (their sources), in their order in `src`/`dst`.
+    /// (their sources): the node's in-edges in edge-list order, then its
+    /// self-loop. Built for `built_copies` copies.
     csr_start: Vec<usize>,
     csr_src: Vec<usize>,
-    /// The `(edges, n, copies)` this index was last built for.
+    inv_deg: Vec<f32>,
+    /// The `(edges, n)` this index was last built for, and how many
+    /// copies of it are built.
     built_edges: Vec<(usize, usize)>,
     built_n: usize,
     built_copies: usize,
@@ -444,57 +443,62 @@ impl MessageIndex {
     /// Populate for `copies` disjoint copies of the same `n`-node
     /// graph, stacked row-wise — the routing table of the batched
     /// forward pass: copy `k`'s nodes live at rows `k*n..(k+1)*n` and
-    /// its edges are offset to match. A no-op when the index is already
-    /// built for these `(edges, n, copies)`.
+    /// its messages are offset to match. When the index already holds
+    /// this graph, this only selects the view (at most `copies` built)
+    /// or appends the missing copies; nothing already built is redone.
     ///
-    /// Ordering matters for bit-equivalence: all tiled edges come
-    /// first, then all self-loops, so within any one copy each
-    /// destination sees its messages (edges, then its self-loop) in
-    /// exactly the order the single graph's index has. The CSR view is
-    /// a stable counting sort on destination, so it keeps that order
-    /// too. Scatter-adds and attention passes over this index are
-    /// therefore bit-identical per copy to the unbatched pass.
+    /// Ordering matters for bit-equivalence: within any one copy each
+    /// destination sees its messages (in-edges in edge-list order, then
+    /// its self-loop) in exactly the order the single graph's tape pass
+    /// scatters them, so scatter-adds and attention passes over this
+    /// index are bit-identical per copy to the unbatched pass.
     ///
     /// # Panics
     /// Panics if `copies == 0` or an edge endpoint is not below `n`.
     pub fn rebuild_tiled(&mut self, edges: &[(usize, usize)], n: usize, copies: usize) {
         assert!(copies > 0, "need at least one copy");
-        if self.built_copies == copies && self.built_n == n && self.built_edges == edges {
-            return;
+        if self.built_copies == 0 || self.built_n != n || self.built_edges != edges {
+            self.build_first_copy(edges, n);
         }
+        let (n, per_copy) = (self.built_n, self.csr_start[self.built_n]);
+        for k in self.built_copies..copies {
+            let (start_off, node_off) = (k * per_copy, k * n);
+            for u in 0..n {
+                self.csr_start.push(start_off + self.csr_start[u + 1]);
+            }
+            for m in 0..per_copy {
+                self.csr_src.push(node_off + self.csr_src[m]);
+            }
+            self.inv_deg.extend_from_within(..n);
+        }
+        self.built_copies = self.built_copies.max(copies);
+        self.copies = copies;
+    }
+
+    /// Build copy 0 alone: a stable counting sort of the messages (the
+    /// edges, then one self-loop per node) on destination.
+    fn build_first_copy(&mut self, edges: &[(usize, usize)], n: usize) {
         assert!(edges.iter().all(|&(s, d)| s < n && d < n), "edge endpoint out of range");
         // Forget the old key first, so an unwind mid-rebuild can never
         // leave a half-built index that still claims to match.
         self.built_copies = 0;
-        self.n = n * copies;
-        self.src.clear();
-        self.dst.clear();
-        for k in 0..copies {
-            let off = k * n;
-            for &(s, d) in edges {
-                self.src.push(s + off);
-                self.dst.push(d + off);
-            }
-        }
-        for u in 0..self.n {
-            self.src.push(u);
-            self.dst.push(u);
-        }
-        // Stable counting sort on destination.
         self.csr_start.clear();
-        self.csr_start.resize(self.n + 1, 0);
-        for &d in &self.dst {
+        self.csr_start.resize(n + 1, 0);
+        for &(_, d) in edges {
             self.csr_start[d + 1] += 1;
         }
-        for u in 0..self.n {
-            self.csr_start[u + 1] += self.csr_start[u];
+        for u in 0..n {
+            self.csr_start[u + 1] += self.csr_start[u] + 1;
         }
-        let mut next = self.csr_start[..self.n].to_vec();
+        let mut next = self.csr_start[..n].to_vec();
         self.csr_src.clear();
-        self.csr_src.resize(self.src.len(), 0);
-        for (&s, &d) in self.src.iter().zip(&self.dst) {
+        self.csr_src.resize(edges.len() + n, 0);
+        for &(s, d) in edges {
             self.csr_src[next[d]] = s;
             next[d] += 1;
+        }
+        for (u, &last) in next.iter().enumerate() {
+            self.csr_src[last] = u;
         }
         self.inv_deg.clear();
         self.inv_deg.extend(
@@ -503,45 +507,33 @@ impl MessageIndex {
         self.built_edges.clear();
         self.built_edges.extend_from_slice(edges);
         self.built_n = n;
-        self.built_copies = copies;
-    }
-
-    /// Message sources (edges then self-loops).
-    #[must_use]
-    pub fn src(&self) -> &[usize] {
-        &self.src
-    }
-
-    /// Message destinations (edges then self-loops).
-    #[must_use]
-    pub fn dst(&self) -> &[usize] {
-        &self.dst
+        self.built_copies = 1;
     }
 
     /// CSR row starts: node `u`'s messages are entries
     /// `csr_start()[u]..csr_start()[u + 1]` of [`MessageIndex::csr_src`].
     #[must_use]
     pub fn csr_start(&self) -> &[usize] {
-        &self.csr_start
+        &self.csr_start[..=self.n()]
     }
 
     /// Message sources grouped by destination, each group in message
     /// order.
     #[must_use]
     pub fn csr_src(&self) -> &[usize] {
-        &self.csr_src
+        &self.csr_src[..self.csr_start[self.n()]]
     }
 
     /// Inverse in-degree (self-loop included) per node.
     #[must_use]
     pub fn inv_deg(&self) -> &[f32] {
-        &self.inv_deg
+        &self.inv_deg[..self.n()]
     }
 
-    /// Node count this index was built for.
+    /// Node count of the current view (all copies).
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.built_n * self.copies
     }
 }
 
@@ -556,13 +548,23 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// The messages of `copies` tiled copies in the order the tape
+    /// scatters them: every copy's edges, then every node's self-loop.
+    fn tape_messages(edges: &[(usize, usize)], n: usize, copies: usize) -> Vec<(usize, usize)> {
+        let tiled =
+            (0..copies).flat_map(|k| edges.iter().map(move |&(s, d)| (s + k * n, d + k * n)));
+        tiled.chain((0..n * copies).map(|u| (u, u))).collect()
+    }
+
     #[test]
     fn ops_match_graph_ops_bitwise() {
         let x = test_matrix(5, 4, 1.3);
         let w = test_matrix(4, 3, 0.7);
         let bias = test_matrix(1, 3, 0.2);
-        let idx = [0usize, 2, 2, 4, 1];
-        let seg = [0usize, 0, 1, 1, 1];
+        let edges = [(0usize, 2usize), (2, 2), (4, 1), (1, 0), (0, 2)];
+        let msgs = tape_messages(&edges, 5, 1);
+        let src: Vec<usize> = msgs.iter().map(|m| m.0).collect();
+        let dst: Vec<usize> = msgs.iter().map(|m| m.1).collect();
 
         let mut g = Graph::new();
         let gx = g.input(x.clone());
@@ -570,18 +572,19 @@ mod tests {
         let gb = g.input(bias.clone());
         let gmm = g.matmul(gx, gw);
         let gbias = g.add_bias(gmm, gb);
-        let gth = g.gather_rows(gbias, &idx);
-        let gsc = g.scatter_add_rows(gth, &seg, 2);
+        let gth = g.gather_rows(gbias, &src);
+        let gsc = g.scatter_add_rows(gth, &dst, 5);
         let gtanh = g.tanh(gsc);
         let gmean = g.mean_rows(gtanh);
 
+        let mut index = MessageIndex::new();
+        index.rebuild(&edges, 5);
         let mut ctx = InferCtx::new();
         ctx.begin();
         let cx = ctx.load(&x);
         let cmm = ctx.matmul(cx, &w);
         ctx.add_bias(cmm, &bias);
-        let cth = ctx.gather_rows(cmm, &idx);
-        let csc = ctx.scatter_add_rows(cth, &seg, 2);
+        let csc = ctx.sum_messages(cmm, &index);
         ctx.tanh(csc);
         let cmean = ctx.mean_rows(csc);
 
@@ -621,12 +624,12 @@ mod tests {
     fn message_index_rebuild_appends_self_loops() {
         let mut idx = MessageIndex::new();
         idx.rebuild(&[(0, 1), (1, 2)], 3);
-        assert_eq!(idx.src(), &[0, 1, 0, 1, 2]);
-        assert_eq!(idx.dst(), &[1, 2, 0, 1, 2]);
+        assert_eq!(idx.csr_start(), &[0, 1, 3, 5]);
+        assert_eq!(idx.csr_src(), &[0, 0, 1, 1, 2]);
         // deg: node0 = 1 (self), node1 = 2, node2 = 2.
         assert_eq!(idx.inv_deg(), &[1.0, 0.5, 0.5]);
         idx.rebuild(&[], 2);
-        assert_eq!(idx.src(), &[0, 1]);
+        assert_eq!(idx.csr_src(), &[0, 1]);
         assert_eq!(idx.n(), 2);
     }
 
@@ -658,8 +661,8 @@ mod tests {
         let mut tiled = MessageIndex::new();
         tiled.rebuild_tiled(&edges, 3, 2);
         assert_eq!(tiled.n(), 6);
-        assert_eq!(tiled.src(), &[0, 1, 3, 4, 0, 1, 2, 3, 4, 5]);
-        assert_eq!(tiled.dst(), &[1, 2, 4, 5, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(tiled.csr_start(), &[0, 1, 3, 5, 6, 8, 10]);
+        assert_eq!(tiled.csr_src(), &[0, 0, 1, 1, 2, 3, 3, 4, 4, 5]);
         // Per-copy degrees must match the single-graph index.
         let mut single = MessageIndex::new();
         single.rebuild(&edges, 3);
@@ -668,8 +671,7 @@ mod tests {
         // One copy degenerates to the plain rebuild.
         let mut one = MessageIndex::new();
         one.rebuild_tiled(&edges, 3, 1);
-        assert_eq!(one.src(), single.src());
-        assert_eq!(one.dst(), single.dst());
+        assert_eq!((one.csr_start(), one.csr_src()), (single.csr_start(), single.csr_src()));
         assert_eq!(one.inv_deg(), single.inv_deg());
     }
 
@@ -679,13 +681,10 @@ mod tests {
         let edges = [(0usize, 2usize), (1, 2), (2, 0), (0, 2)];
         let mut idx = MessageIndex::new();
         idx.rebuild_tiled(&edges, 4, 2);
+        let msgs = tape_messages(&edges, 4, 2);
         for u in 0..idx.n() {
-            let expected: Vec<usize> = idx
-                .src()
-                .iter()
-                .zip(idx.dst())
-                .filter_map(|(&s, &d)| (d == u).then_some(s))
-                .collect();
+            let expected: Vec<usize> =
+                msgs.iter().filter_map(|&(s, d)| (d == u).then_some(s)).collect();
             let (a, b) = (idx.csr_start()[u], idx.csr_start()[u + 1]);
             assert_eq!(&idx.csr_src()[a..b], expected.as_slice(), "node {u}");
         }
@@ -699,17 +698,57 @@ mod tests {
         let mut fresh = MessageIndex::new();
         fresh.rebuild_tiled(&a, 3, 2);
         let mut reused = MessageIndex::new();
-        for (edges, n, copies) in [(&a[..], 3, 2), (&b[..], 3, 2), (&b[..], 4, 2), (&b[..], 4, 3)] {
+        let builds = [
+            (&a[..], 3, 2),
+            (&b[..], 3, 2),
+            (&b[..], 4, 2),
+            (&b[..], 4, 3),
+            (&b[..], 4, 1),
+            (&b[..], 4, 5),
+            (&b[..], 4, 2),
+        ];
+        for (edges, n, copies) in builds {
             reused.rebuild_tiled(edges, n, copies);
             let mut once = MessageIndex::new();
             once.rebuild_tiled(edges, n, copies);
-            assert_eq!((reused.src(), reused.dst()), (once.src(), once.dst()));
+            assert_eq!(reused.n(), once.n());
             assert_eq!((reused.csr_start(), reused.csr_src()), (once.csr_start(), once.csr_src()));
             assert_eq!(reused.inv_deg(), once.inv_deg());
         }
         reused.rebuild_tiled(&a, 3, 2);
         assert_eq!(reused.csr_src(), fresh.csr_src());
         assert_eq!(reused.n(), 6);
+    }
+
+    /// Alternating batch widths on one graph build the index once, at
+    /// the widest width: narrower views are prefixes, and a wider one
+    /// only appends copies.
+    #[test]
+    fn narrower_batches_read_the_prefix_of_the_widest_build() {
+        let edges = [(0usize, 2usize), (1, 2), (2, 0)];
+        let mut idx = MessageIndex::new();
+        idx.rebuild_tiled(&edges, 3, 5);
+        let wide = (idx.csr_start().to_vec(), idx.csr_src().to_vec(), idx.inv_deg().to_vec());
+        let storage = idx.csr_src.as_ptr();
+        for copies in [1, 5, 2, 4, 1, 3] {
+            idx.rebuild_tiled(&edges, 3, copies);
+            assert_eq!(idx.built_copies, 5, "K={copies} rebuilt the index");
+            assert_eq!(idx.csr_src.as_ptr(), storage);
+            assert_eq!(idx.n(), 3 * copies);
+            assert_eq!(idx.csr_start(), &wide.0[..=3 * copies]);
+            assert_eq!(idx.csr_src(), &wide.1[..idx.csr_start()[3 * copies]]);
+            assert_eq!(idx.inv_deg(), &wide.2[..3 * copies]);
+        }
+        // Growing from a narrow build appends copies and equals a
+        // direct wide build.
+        let mut grown = MessageIndex::new();
+        for copies in [1, 3, 2, 5] {
+            grown.rebuild_tiled(&edges, 3, copies);
+        }
+        assert_eq!(
+            (grown.csr_start(), grown.csr_src(), grown.inv_deg()),
+            (&wide.0[..], &wide.1[..], &wide.2[..])
+        );
     }
 
     #[test]

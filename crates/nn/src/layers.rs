@@ -273,8 +273,10 @@ impl GcnLayer {
         g.tanh(mean)
     }
 
-    /// Tape-free forward pass; bit-identical to [`GcnLayer::forward`]
-    /// (the inverse degrees come precomputed from the index).
+    /// Tape-free forward pass; bit-identical to [`GcnLayer::forward`]:
+    /// the messages are summed over the index's destination-grouped
+    /// view ([`InferCtx::sum_messages`]), and the inverse degrees come
+    /// precomputed from the index.
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -286,8 +288,7 @@ impl GcnLayer {
         debug_assert_eq!(n, index.n(), "index built for a different graph");
         let hw = ctx.matmul(x, params.value(self.weight));
         ctx.add_bias(hw, params.value(self.bias));
-        let msg = ctx.gather_rows(hw, index.src());
-        let agg = ctx.scatter_add_rows(msg, index.dst(), n);
+        let agg = ctx.sum_messages(hw, index);
         ctx.col_mul_slice(agg, index.inv_deg());
         ctx.tanh(agg);
         agg
@@ -444,16 +445,18 @@ mod tests {
         assert_eq!(ctx.value(cy), g.value(gy), "MLP infer diverged");
     }
 
-    /// The fused attention of [`GatLayer::infer`] against the tape
-    /// chain of [`GatLayer::forward`], bit for bit, on random graphs:
-    /// duplicate edges, nodes with only their self-loop, head widths
-    /// with and without a register specialization, and K tiled copies
-    /// whose rows must each equal the single graph's forward.
+    /// The tape-free GAT and GCN passes against their tape forwards,
+    /// bit for bit, on random graphs: duplicate edges, nodes with only
+    /// their self-loop, head widths with and without a register
+    /// specialization, and K tiled copies whose rows must each equal the
+    /// single graph's forward. Each graph runs at three widths in turn,
+    /// so narrower batches read the prefix of a wider index.
     #[test]
-    fn fused_gat_infer_matches_forward_bitwise_on_random_graphs() {
+    fn infer_matches_forward_bitwise_on_random_graphs_at_every_width() {
         let mut rng = SeedRng::new(77);
         let mut ctx = InferCtx::new();
         let mut index = MessageIndex::new();
+        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for case in 0..48 {
             let n = 1 + rng.below(12);
             let in_dim = 1 + rng.below(9);
@@ -461,6 +464,7 @@ mod tests {
             let heads = 1 + rng.below(3);
             let mut params = Params::new();
             let gat = GatLayer::new(&mut params, in_dim, head_dim, heads, &mut rng);
+            let gcn = GcnLayer::new(&mut params, in_dim, head_dim, &mut rng);
             // Edges among the first n - 1 nodes only, so the last node
             // hears nothing but its self-loop; every third graph
             // repeats an edge.
@@ -473,26 +477,39 @@ mod tests {
                     edges.push(e);
                 }
             }
-            let copies = 1 + case % 4;
-            let xs: Vec<Matrix> = (0..copies).map(|_| rng.uniform(n, in_dim, 2.0)).collect();
-
-            index.rebuild_tiled(&edges, n, copies);
-            ctx.begin();
-            let refs: Vec<&Matrix> = xs.iter().collect();
-            let cx = ctx.load_stacked(&refs);
-            let cy = gat.infer(&mut ctx, &params, cx, &index);
-            let fused = ctx.value(cy);
-            for (k, x) in xs.iter().enumerate() {
-                let mut g = Graph::new();
-                let gx = g.input(x.clone());
-                let gy = gat.forward(&mut g, &params, gx, &edges);
-                for r in 0..n {
-                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(fused.row_slice(k * n + r)),
-                        bits(g.value(gy).row_slice(r)),
-                        "case {case}: copy {k} row {r} (n={n}, d={head_dim}, edges {edges:?})"
-                    );
+            let xs: Vec<Matrix> = (0..4).map(|_| rng.uniform(n, in_dim, 2.0)).collect();
+            let tape: Vec<(Matrix, Matrix)> = xs
+                .iter()
+                .map(|x| {
+                    let mut g = Graph::new();
+                    let gx = g.input(x.clone());
+                    let gat_y = gat.forward(&mut g, &params, gx, &edges);
+                    let gcn_y = gcn.forward(&mut g, &params, gx, &edges);
+                    (g.value(gat_y).clone(), g.value(gcn_y).clone())
+                })
+                .collect();
+            for copies in [1 + case % 4, 4, 1 + (case / 4) % 4] {
+                index.rebuild_tiled(&edges, n, copies);
+                assert_eq!(index.n(), n * copies);
+                ctx.begin();
+                let refs: Vec<&Matrix> = xs[..copies].iter().collect();
+                let cx = ctx.load_stacked(&refs);
+                let gat_y = gat.infer(&mut ctx, &params, cx, &index);
+                let gcn_y = gcn.infer(&mut ctx, &params, cx, &index);
+                for (k, (gat_ref, gcn_ref)) in tape[..copies].iter().enumerate() {
+                    for r in 0..n {
+                        let at = format!("case {case}: K={copies} copy {k} row {r} (n={n}, d={head_dim}, edges {edges:?})");
+                        assert_eq!(
+                            bits(ctx.value(gat_y).row_slice(k * n + r)),
+                            bits(gat_ref.row_slice(r)),
+                            "GAT {at}"
+                        );
+                        assert_eq!(
+                            bits(ctx.value(gcn_y).row_slice(k * n + r)),
+                            bits(gcn_ref.row_slice(r)),
+                            "GCN {at}"
+                        );
+                    }
                 }
             }
         }

@@ -58,7 +58,8 @@ for c in ("search.predict_cache.hit", "search.predict_cache.miss",
           "search.batch.flush", "search.batch.partial",
           "search.batch.cache_short_circuit",
           "search.prune.candidate_rebuild", "search.prune.masked_actions",
-          "search.prune.dead_state", "search.expand.offered"):
+          "search.prune.dead_state", "search.expand.offered",
+          "fabric.hop_table.build"):
     if c not in counters:
         sys.exit(f"perf smoke: counter {c!r} absent from metrics delta")
 for hname in ("nn.batch.size", "search.candidates.per_node"):
